@@ -3,12 +3,9 @@
 from .decomp import (
     DunfordDecomposition,
     EigenCluster,
-    Region,
     SpectralIdempotent,
     dunford,
     eigen_clusters,
-    idempotent_for_region,
-    similarity_to_normal,
     spectral_idempotent,
 )
 from .errors import (
@@ -35,22 +32,20 @@ from .powerit import (
     convergence_study,
     normalized_power,
     scaled_power,
-    similarity_equivalence_check,
     vector_exponent_estimate,
     vector_exponent_estimates,
     yamamoto_limits,
 )
-from .records import RunConfig, RunRecord
+from .records import ARTIFACT_VERSION, RunConfig, RunRecord
 from .resolution import (
     LimitOperator,
-    ModulusResolution,
+    LevelResolution,
     check_resolution,
     limit_operator,
     modulus_resolution,
     vector_exponent_exact,
 )
 from .semigroup import (
-    HalfplaneResolution,
     exp_growth_estimate,
     exp_growth_exponent_exact,
     halfplane_resolution,
@@ -73,4 +68,4 @@ from .shifts import (
     uniform_limit_detector,
 )
 
-__version__ = "1.0.0"
+__version__ = ARTIFACT_VERSION

@@ -24,7 +24,6 @@ from .mmio import parse_matrix
 from .powerit import (
     convergence_study,
     normalized_power,
-    vector_exponent_estimate,
     vector_exponent_estimates,
     yamamoto_limits,
 )
@@ -227,7 +226,7 @@ def _cmd_semigroup(record, config):
     est = np.array([exp_growth_estimate(a, np.eye(m)[:, j], t) for j in range(m)])
     record.add_check("growth_deviation", float(np.max(np.abs(est - exact))), tol)
     record.results["limit_matrix"] = k.matrix
-    record.results["real_parts"] = list(res.real_parts)
+    record.results["real_parts"] = list(res.levels)
     record.results["exact_exponents"] = exact
     record.results["estimates"] = est
 

@@ -35,43 +35,6 @@ class SpectralIdempotent:
 
 
 @dataclass(frozen=True)
-class Region:
-    """Subset of the plane used to aggregate idempotents: discs, half-planes, and complements."""
-
-    kind: str  # disc | halfplane | complement_disc | full_plane | empty
-    param: float = 0.0
-
-    def contains(self, z: complex) -> bool:
-        if self.kind == "disc":
-            return self.param >= 0 and abs(z) <= self.param
-        if self.kind == "halfplane":
-            return z.real <= self.param
-        if self.kind == "complement_disc":
-            return not (self.param >= 0 and abs(z) <= self.param)
-        if self.kind == "full_plane":
-            return True
-        if self.kind == "empty":
-            return False
-        raise InvalidInput(f"unknown region kind {self.kind!r}")
-
-
-def disc(radius: float) -> Region:
-    return Region("disc", float(radius))
-
-
-def halfplane(bound: float) -> Region:
-    return Region("halfplane", float(bound))
-
-
-def complement_disc(radius: float) -> Region:
-    return Region("complement_disc", float(radius))
-
-
-FULL_PLANE = Region("full_plane")
-EMPTY = Region("empty")
-
-
-@dataclass(frozen=True)
 class DunfordDecomposition:
     """A = D + N with D scalar (diagonalizable), N nilpotent, DN = ND."""
 
@@ -197,40 +160,3 @@ def dunford(a, cluster_tol: float | None = None) -> DunfordDecomposition:
         idempotents=idempotents,
         condition_bound=float(bound),
     )
-
-
-def idempotent_for_region(dec: DunfordDecomposition, region: Region) -> np.ndarray:
-    """Sum of the cluster idempotents whose representatives lie in ``region``."""
-    out = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for p in dec.idempotents:
-        if region.contains(p.cluster.representative):
-            out += p.matrix
-    return out
-
-
-def similarity_to_normal(dec: DunfordDecomposition, cond_cap: float = 1e8):
-    """Write the scalar part as D = S^-1 @ Lambda @ S with Lambda diagonal and ||S|| = 1.
-
-    Columns of S^-1 are orthonormal bases of the idempotent ranges, so Lambda
-    repeats each cluster representative by its multiplicity.
-    """
-    m = dec.dim
-    cols = []
-    diag = []
-    for p in dec.idempotents:
-        u, s, _ = np.linalg.svd(p.matrix)
-        r = int(np.count_nonzero(s > 0.5))  # idempotent singulars are >= 1 on the range
-        cols.append(u[:, :r])
-        diag.extend([p.cluster.representative] * r)
-    v = np.hstack(cols)
-    if v.shape != (m, m):
-        raise NumericalFailure(
-            f"idempotent ranges span dimension {v.shape[1]} != {m}"
-        )
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise IllConditioned("eigenbasis is numerically singular", residual=float(cond))
-    s_mat = np.linalg.inv(v)
-    s_mat /= np.linalg.norm(s_mat, 2)
-    lam = np.diag(np.array(diag, dtype=np.complex128))
-    return s_mat, lam

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import IllConditioned, InvalidInput
+from .errors import InvalidInput
 
 # Exact (single scaled matrix) path is trusted while the singular spread of the
 # unit matrix stays above this, keeping small singulars clear of the SVD noise
@@ -217,7 +217,7 @@ def yamamoto_limits(a, n: int) -> np.ndarray:
     return vals
 
 
-def vector_exponent_estimates(a, xs, n: int, coeff_tol: float = _COEFF_TOL) -> np.ndarray:
+def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     """Growth exponents lim ||A^n x||^(1/n) for a batch of vectors (columns of xs)."""
     a = linalg.as_matrix(a)
     if n < 1 or int(n) != n:
@@ -258,14 +258,14 @@ def vector_exponent_estimates(a, xs, n: int, coeff_tol: float = _COEFF_TOL) -> n
     for j in range(xs.shape[1]):
         if norms[j] == 0.0:
             continue
-        significant = coeff[:, j] > coeff_tol * norms[j]
+        significant = coeff[:, j] > _COEFF_TOL * norms[j]
         out[j] = float(level[significant].max()) if np.any(significant) else 0.0
     return out
 
 
-def vector_exponent_estimate(a, x, n: int, coeff_tol: float = _COEFF_TOL) -> float:
+def vector_exponent_estimate(a, x, n: int) -> float:
     """Growth exponent lim ||A^n x||^(1/n) for one vector; 0 for x = 0 or a dead orbit."""
-    return float(vector_exponent_estimates(a, np.asarray(x), n, coeff_tol)[0])
+    return float(vector_exponent_estimates(a, np.asarray(x), n)[0])
 
 
 def convergence_study(a, schedule, limit_matrix, target: float = 1e-3) -> ConvergenceReport:
@@ -288,35 +288,3 @@ def convergence_study(a, schedule, limit_matrix, target: float = 1e-3) -> Conver
         converged=errors[-1] <= target,
         wall_time=wall,
     )
-
-
-def similarity_equivalence_check(t, s, n: int) -> float:
-    """|| |(S^-1 T S)^n|^(1/n) - (S* (T^n)* T^n S)^(1/2n) ||, all in scaled form."""
-    t = linalg.as_matrix(t)
-    s = linalg.as_matrix(s)
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
-    n = int(n)
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > 1e8:
-        raise IllConditioned("similarity matrix is too ill-conditioned", residual=float(cond))
-    side1 = normalized_power(np.linalg.solve(s, t @ s), n)
-
-    sp = scaled_power(t, n)
-    if sp.is_zero:
-        side2 = np.zeros_like(t)
-    else:
-        b = sp.unit @ s
-        sv = np.linalg.svd(b, compute_uv=False)
-        if n <= _EXACT_N_MAX or sv[-1] >= _EXACT_SPREAD_FLOOR * sv[0]:
-            gram = b.conj().T @ b
-            side2 = np.exp(sp.log_scale / n) * linalg.psd_power(gram, 1.0 / (2 * n))
-        else:
-            # Flag run for T^n S: n steps of T*, then one of S* to rotate the
-            # basis; the bounded S factor does not move the asymptotic rates.
-            q, logs, window, tail = _right_flag(t, n)
-            q, _ = _flag_step(s.conj().T, q, logs)
-            roots = _tail_levels(window, tail)
-            side2 = (q * roots) @ q.conj().T
-            side2 = 0.5 * (side2 + side2.conj().T)
-    return float(linalg.norm2(side1 - side2))

@@ -38,14 +38,13 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # execution knobs (parallelism) do not identify the experiment and
-        # stay out of the serialized echo
+        # where the record goes and execution knobs (parallelism) do not
+        # identify the experiment and stay out of the serialized echo
         params = {k: v for k, v in self.params.items() if k != "workers"}
         return {
             "command": self.command,
             "seed": self.seed,
             "input_path": self.input_path,
-            "output_path": self.output_path,
             "csv": self.csv,
             "params": params,
         }
@@ -116,10 +115,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # "inf" / "-inf" / "nan": JSON has no spelling for these
     return obj
-
-
-def load_record(path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def write_error_csv(path, rows):

@@ -1,97 +1,24 @@
-"""One-parameter group asymptotics exp(tA): half-plane resolutions and growth exponents."""
+"""One-parameter group asymptotics exp(tA): the propagator and growth-exponent estimates.
+
+The closed forms (half-plane resolution, limit, exact growth exponent) are the
+real-part-keyed level resolution of ``satk.resolution``, re-exported here.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg
 
 from . import linalg
-from .decomp import DunfordDecomposition
 from .errors import InvalidInput
 from .powerit import ScaledPower, vector_exponent_estimates
-from .resolution import MEMBERSHIP_TOL, LimitOperator, cluster_values
+from .resolution import exp_growth_exponent_exact, halfplane_resolution, semigroup_limit
 
-# Taylor tail below eps once the scaled norm is under this.
-_SERIES_NORM_CAP = 0.5
-_SERIES_TERMS = 24
+__all__ = ["exp_growth_estimate", "exp_growth_exponent_exact", "halfplane_resolution",
+           "matrix_exp_scaled", "semigroup_limit"]
 
-
-@dataclass(frozen=True)
-class HalfplaneResolution:
-    """Increasing orthogonal projections G_1 <= ... <= G_l = I at the distinct real parts of sp(A)."""
-
-    real_parts: tuple
-    projections: tuple
-    source: DunfordDecomposition
-    idempotent_sums: tuple
-
-
-def halfplane_resolution(
-    dec: DunfordDecomposition, tol: float | None = None
-) -> HalfplaneResolution:
-    """G_j = R(e_A(H_{b_j})) over the clustered real parts b_1 < ... < b_l."""
-    if tol is None:
-        tol = 1e-6 * max(1.0, linalg.norm2(dec.matrix))
-    reals = np.array([p.cluster.representative.real for p in dec.idempotents])
-    groups = cluster_values(reals, tol)
-    parts = []
-    projections = []
-    idem_sums = []
-    acc = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for group in groups:
-        parts.append(float(np.mean(reals[group])))
-        for idx in group:
-            acc = acc + dec.idempotents[idx].matrix
-        idem_sums.append(acc.copy())
-        projections.append(linalg.range_projection(acc))
-    projections[-1] = np.eye(dec.dim, dtype=np.complex128)
-    return HalfplaneResolution(
-        real_parts=tuple(parts),
-        projections=tuple(projections),
-        source=dec,
-        idempotent_sums=tuple(idem_sums),
-    )
-
-
-def semigroup_limit(res: HalfplaneResolution) -> LimitOperator:
-    """Closed form of lim |exp(tA)|^(1/t): sum_j exp(b_j) (G_j - G_{j-1})."""
-    dim = res.source.dim
-    k = np.zeros((dim, dim), dtype=np.complex128)
-    prev = np.zeros((dim, dim), dtype=np.complex128)
-    for b, g in zip(res.real_parts, res.projections):
-        k += np.exp(b) * (g - prev)
-        prev = g
-    values = tuple(float(np.exp(b)) for b in res.real_parts)
-    return LimitOperator(matrix=0.5 * (k + k.conj().T), spectrum_moduli=values)
-
-
-def exp_growth_exponent_exact(
-    dec: DunfordDecomposition, x, tol: float = MEMBERSHIP_TOL
-) -> float:
-    """Smallest real part b with x in the range of the half-plane idempotent e_A(H_b)."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != dec.dim:
-        raise InvalidInput(f"vector has length {x.shape[0]}, expected {dec.dim}")
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise InvalidInput("growth exponent of the zero vector is undefined")
-    res = halfplane_resolution(dec)
-    for b, e in zip(res.real_parts, res.idempotent_sums):
-        if np.linalg.norm(e @ x - x) <= tol * nx:
-            return float(b)
-    return float(res.real_parts[-1])
-
-
-def _exp_series(b) -> np.ndarray:
-    """Truncated Taylor series for exp(B), valid for ||B|| <= 0.5."""
-    m = b.shape[0]
-    out = np.eye(m, dtype=np.complex128)
-    term = np.eye(m, dtype=np.complex128)
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term @ b / k
-        out += term
-    return out
+# The scaled step exp((t / 2^s) A) is taken with ||(t / 2^s) A|| under this.
+_STEP_NORM_CAP = 0.5
 
 
 def matrix_exp_scaled(a, t: float) -> ScaledPower:
@@ -103,8 +30,8 @@ def matrix_exp_scaled(a, t: float) -> ScaledPower:
     if t == 0.0:
         return ScaledPower(unit=np.eye(m, dtype=np.complex128), log_scale=0.0)
     norm_ta = t * linalg.norm2(a)
-    squarings = max(0, int(np.ceil(np.log2(max(norm_ta / _SERIES_NORM_CAP, 1.0)))))
-    base = _exp_series((t / 2**squarings) * a)
+    squarings = max(0, int(np.ceil(np.log2(max(norm_ta / _STEP_NORM_CAP, 1.0)))))
+    base = scipy.linalg.expm((t / 2**squarings) * a)
     log = np.log(linalg.norm2(base))
     unit = base / np.exp(log)
     for _ in range(squarings):
@@ -128,7 +55,7 @@ def exp_growth_estimate(a, x, t: float) -> float:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if np.linalg.norm(x) == 0.0:
         raise InvalidInput("growth exponent of the zero vector is undefined")
-    steps = max(1, int(np.ceil(t * max(linalg.norm2(a), 0.5) / _SERIES_NORM_CAP)))
+    steps = max(1, int(np.ceil(t * max(linalg.norm2(a), 0.5) / _STEP_NORM_CAP)))
     h = t / steps
     propagator = matrix_exp_scaled(a, h)
     growth = vector_exponent_estimates(propagator.unit, x, steps)[0]

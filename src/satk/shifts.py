@@ -12,6 +12,13 @@ import numpy as np
 
 from .errors import InvalidInput
 
+# The detector's tail block is the last 1/_TAIL_FRACTION of the window lengths.
+_TAIL_FRACTION = 4
+# An explicit list counts as w_n -> 0 when the second half of its first
+# _BACKWARD_HORIZON weights is at most _BACKWARD_TOL.
+_BACKWARD_HORIZON = 4096
+_BACKWARD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -136,19 +143,15 @@ def geometric_mean_table(w: WeightSequence, start_max: int, length_max: int) -> 
     return MeanTable(start_max=start_max, length_max=length_max, values=vals)
 
 
-def uniform_limit_detector(
-    table: MeanTable, tol: float = 1e-2, tail_window: int | None = None
-) -> DetectorResult:
+def uniform_limit_detector(table: MeanTable, tol: float = 1e-2) -> DetectorResult:
     """Finite-horizon heuristic for uniform convergence of the mean table.
 
     A finite table cannot certify a limit: this checks that the tail block
-    (largest window lengths, all starts) is flat within ``tol`` around its
-    mean.  Non-flat tables yield the pair of extreme cells as a witness.
+    (the last quarter of the window lengths, all starts) is flat within
+    ``tol`` around its mean.  Non-flat tables yield the pair of extreme cells
+    as a witness.
     """
-    if tail_window is None:
-        tail_window = max(1, table.length_max // 4)
-    if tail_window > table.length_max:
-        raise InvalidInput("tail window exceeds the table length")
+    tail_window = max(1, table.length_max // _TAIL_FRACTION)
     tail = table.values[:, table.length_max - tail_window :]
     alpha_hat = float(tail.mean())
     dev = np.abs(tail - alpha_hat)
@@ -184,20 +187,18 @@ def truncate_backward(w: WeightSequence, m: int) -> np.ndarray:
     return out
 
 
-def backward_classifier(w: WeightSequence, horizon: int = 4096, tol: float = 1e-6) -> bool:
+def backward_classifier(w: WeightSequence) -> bool:
     """Whether the backward shift's normalized power sequence converges (iff w_n -> 0).
 
     Exact for the closed-form kinds; a tail-window heuristic for explicit lists.
     """
-    if horizon < 1:
-        raise InvalidInput("horizon must be at least 1")
     if w.kind in ("harmonic", "geometric"):
         return True
     if w.kind in ("constant", "blocks"):
         return False
-    mags = w.weights(min(horizon, len(w.values)))
+    mags = w.weights(min(_BACKWARD_HORIZON, len(w.values)))
     tail = mags[len(mags) // 2 :]
-    return bool(np.max(tail) <= tol)
+    return bool(np.max(tail) <= _BACKWARD_TOL)
 
 
 def shift_power_crosscheck(w: WeightSequence, m: int, n: int) -> CrosscheckReport:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from satk import decomp, linalg
-from satk.errors import IllConditioned, InvalidInput, NumericalFailure
+from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
+from satk.resolution import modulus_resolution
 
-from conftest import random_complex, random_invertible
+from conftest import random_complex
 
 
 def test_eigen_clusters_merges_close_values():
@@ -81,32 +82,30 @@ def test_dunford_jordan_block():
     assert linalg.norm2(dec.nilpotent_part - np.array([[0, 1], [0, 0]])) < 1e-10
 
 
-def test_idempotent_for_region_partitions(rng):
+def test_modulus_levels_partition_identity():
+    # sum_P P = I, split at every modulus level into the disc and its complement
     inst = generate_instance(321, InstanceSpec(dim=6))
     dec = decomp.dunford(inst.matrix)
-    mods = sorted(abs(p.cluster.representative) for p in dec.idempotents)
-    assert linalg.norm2(decomp.idempotent_for_region(dec, decomp.FULL_PLANE) - np.eye(6)) < 1e-8
-    assert linalg.norm2(decomp.idempotent_for_region(dec, decomp.EMPTY)) == 0.0
-    inside = decomp.idempotent_for_region(dec, decomp.disc(mods[0] + 1e-9))
-    outside = decomp.idempotent_for_region(dec, decomp.complement_disc(mods[0] + 1e-9))
-    assert linalg.norm2(inside + outside - np.eye(6)) < 1e-8
+    res = modulus_resolution(dec)
+    assert linalg.norm2(res.idempotent_sums[-1] - np.eye(6)) < 1e-8
+    for level, inside in zip(res.levels, res.idempotent_sums):
+        outside = sum(
+            (p.matrix for p in dec.idempotents if abs(p.cluster.representative) > level + 1e-9),
+            np.zeros((6, 6)),
+        )
+        assert linalg.norm2(inside + outside - np.eye(6)) < 1e-8
 
 
-def test_region_contains():
-    assert decomp.disc(1.0).contains(1.0)
-    assert not decomp.disc(1.0).contains(1.0 + 1e-9)
-    assert decomp.disc(-1.0).contains(0.0) is False  # negative radius = empty
-    assert decomp.halfplane(0.0).contains(-1.0 + 5j)
-    assert not decomp.halfplane(0.0).contains(0.1)
-
-
-def test_similarity_to_normal_reconstructs(rng):
+def test_scalar_part_is_weighted_idempotent_sum():
+    # D = sum_P lambda_P P against the certified idempotents, and D P = lambda_P P
     for i in range(10):
         inst = generate_instance(7300 + i, InstanceSpec(dim=5))
         dec = decomp.dunford(inst.matrix)
-        s, lam = decomp.similarity_to_normal(dec)
-        assert linalg.norm2(np.linalg.solve(s, lam) @ s - dec.scalar_part) < 1e-8
-        assert linalg.norm2(s) == pytest.approx(1.0, abs=1e-12)
+        truth = sum(p.cluster.representative * p.matrix for p in inst.decomposition.idempotents)
+        assert linalg.norm2(dec.scalar_part - truth) < 1e-8
+        for p in dec.idempotents:
+            lam_p = p.cluster.representative * p.matrix
+            assert linalg.norm2(dec.scalar_part @ p.matrix - lam_p) < 1e-8
 
 
 def test_close_eigenvalues_cluster_into_usable_projector():
@@ -116,9 +115,3 @@ def test_close_eigenvalues_cluster_into_usable_projector():
     assert len(clusters) == 1
     p = decomp.spectral_idempotent(a, clusters[0], cluster_tol=1e-2)
     assert linalg.norm2(p.matrix - np.eye(2)) < 1e-10
-
-
-def test_similarity_to_normal_cond_cap_raises():
-    dec = decomp.dunford(np.array([[1, 1], [0, 2]], dtype=complex))
-    with pytest.raises(IllConditioned):
-        decomp.similarity_to_normal(dec, cond_cap=1.0 + 1e-9)

@@ -1,12 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satk
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
 from satk.mmio import matrix_to_json, parse_matrix
-from satk.records import RunConfig, read_error_csv, write_error_csv
+from satk.records import ARTIFACT_VERSION, RunConfig, read_error_csv, write_error_csv
 
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
 
@@ -169,3 +172,17 @@ def test_record_numbers_roundtrip():
     for got, orig in zip(reloaded["checks"], rec.checks):
         assert got["value"] == orig.value  # exact float round-trip
     assert json.dumps(reloaded, sort_keys=True, separators=(",", ": "), indent=1) + "\n" == text
+
+
+def test_record_bytes_do_not_depend_on_out_path(tmp_path):
+    first, second = tmp_path / "x1.json", tmp_path / "sub" / "x2.json"
+    second.parent.mkdir()
+    assert main(["limit", "--seed", "5", "--out", str(first)]) == 0
+    assert main(["limit", "--seed", "5", "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_one_version_string():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    assert version == satk.__version__ == ARTIFACT_VERSION

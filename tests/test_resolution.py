@@ -26,7 +26,7 @@ def test_resolution_monotone_and_tops_out():
         res = modulus_resolution(inst.decomposition)
         diag = check_resolution(res)
         assert diag.within(1e-8)
-        assert list(res.moduli) == sorted(res.moduli)
+        assert list(res.levels) == sorted(res.levels)
         ranks = [linalg.matrix_rank(f) for f in res.projections]
         assert ranks == sorted(ranks)
         assert ranks[-1] == inst.matrix.shape[0]
@@ -36,8 +36,8 @@ def test_shared_modulus_levels_merge():
     # two eigenvalues on one circle must collapse to a single modulus level
     lam = np.diag([1.0, np.exp(1j * 2.1), 0.5]).astype(complex)
     res = modulus_resolution(dunford(lam))
-    assert len(res.moduli) == 2
-    assert res.moduli[1] == pytest.approx(1.0)
+    assert len(res.levels) == 2
+    assert res.levels[1] == pytest.approx(1.0)
     assert linalg.matrix_rank(res.projections[0]) == 1
 
 
@@ -71,7 +71,7 @@ def test_vector_exponent_exact_levels():
         assert lam == pytest.approx(mods[j], abs=1e-8)
     # a generic combination picks up the top level
     x = inst.generalized_eigenvectors.sum(axis=1)
-    assert vector_exponent_exact(dec, x) == pytest.approx(res.moduli[-1], abs=1e-8)
+    assert vector_exponent_exact(dec, x) == pytest.approx(res.levels[-1], abs=1e-8)
 
 
 def test_vector_exponent_exact_zero_vector():

@@ -6,6 +6,7 @@ from satk import linalg, semigroup
 from satk.decomp import dunford
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
+from satk.resolution import limit_operator, modulus_resolution
 
 from conftest import random_complex
 
@@ -41,7 +42,7 @@ def test_halfplane_resolution_monotone():
     for i in range(10):
         inst = generate_instance(6000 + i, InstanceSpec(dim=5))
         res = semigroup.halfplane_resolution(inst.decomposition)
-        assert list(res.real_parts) == sorted(res.real_parts)
+        assert list(res.levels) == sorted(res.levels)
         ranks = [linalg.matrix_rank(g) for g in res.projections]
         assert ranks == sorted(ranks)
         assert linalg.norm2(res.projections[-1] - np.eye(5)) == 0.0
@@ -54,6 +55,15 @@ def test_semigroup_limit_spectrum_is_exp_of_real_parts():
         expected = np.sort(np.exp(np.real(np.array(inst.eigenvalues))))
         got = np.sort(np.linalg.eigvalsh(k.matrix))
         assert np.max(np.abs(got - expected)) < 1e-8
+
+
+def test_semigroup_limit_is_discrete_limit_of_exp():
+    # levels by real part for A and levels by modulus for exp(A) give one operator
+    for i in range(20):
+        inst = generate_instance(6300 + i, InstanceSpec(dim=2 + i % 6, min_real_gap=0.2))
+        continuous = semigroup.semigroup_limit(semigroup.halfplane_resolution(inst.decomposition))
+        discrete = limit_operator(modulus_resolution(dunford(scipy.linalg.expm(inst.matrix))))
+        assert linalg.norm2(continuous.matrix - discrete.matrix) < 1e-9
 
 
 def test_exp_growth_exact_fixture():
