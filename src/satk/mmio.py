@@ -114,19 +114,23 @@ def _parse_json_obj(obj) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
+def read_source(source) -> str:
+    """The contents of the file ``source`` names, or ``source`` itself as inline text."""
+    text = str(source)
+    try:
+        is_file = isinstance(source, (str, Path)) and Path(text).exists()
+    except OSError:  # e.g. inline text longer than a legal file name
+        is_file = False
+    return Path(text).read_text() if is_file else text
+
+
 def parse_matrix(source) -> np.ndarray:
     """Load and validate a square complex matrix from a file path or text.
 
     Matrix Market input is recognized by its %%MatrixMarket banner; anything
     else must be the JSON schema.
     """
-    text = str(source)
-    try:
-        is_file = isinstance(source, (str, Path)) and Path(text).exists()
-    except OSError:  # e.g. inline text longer than a legal file name
-        is_file = False
-    if is_file:
-        text = Path(text).read_text()
+    text = read_source(source)
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty input", line=1)

@@ -15,8 +15,7 @@ carried by any single float64 matrix.
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +46,6 @@ class ScaledPower:
             raise OverflowError("scaled power exceeds float range")
         return np.exp(self.log_scale) * self.unit
 
-    def log_norm(self) -> float:
-        if self.is_zero:
-            return -np.inf
-        return self.log_scale + float(np.log(linalg.norm2(self.unit)))
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -59,15 +53,18 @@ class ConvergenceReport:
     errors: tuple
     estimated_rate: float
     converged: bool
-    wall_time: float
+
+
+def _positive_int(n) -> int:
+    if n < 1 or int(n) != n:
+        raise InvalidInput(f"n must be a positive integer, got {n}")
+    return int(n)
 
 
 def scaled_power(a, n: int) -> ScaledPower:
     """A^n by binary exponentiation, renormalized to unit spectral norm per multiply."""
     a = linalg.as_matrix(a)
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = _positive_int(n)
     m = a.shape[0]
 
     def normalized(x, log):
@@ -97,13 +94,12 @@ def scaled_power(a, n: int) -> ScaledPower:
 def brute_force_power(a, n: int) -> np.ndarray:
     """Plain repeated multiplication, the independent oracle for small n."""
     a = linalg.as_matrix(a)
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
+    n = _positive_int(n)
     if n > 64:
         raise InvalidInput("brute force is limited to n <= 64")
     out = a.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(n) - 1):
+        for _ in range(n - 1):
             out = out @ a
             if not np.all(np.isfinite(out.view(np.float64))):
                 raise OverflowError(f"entries overflowed at power {n}")
@@ -111,10 +107,6 @@ def brute_force_power(a, n: int) -> np.ndarray:
 
 
 # --- QR-accumulation flag runs ------------------------------------------------
-
-_flag_cache: OrderedDict = OrderedDict()
-_FLAG_CACHE_MAX = 64
-
 
 def _flag_step(a, q, logs):
     b = a @ q
@@ -124,19 +116,17 @@ def _flag_step(a, q, logs):
     return q, logs
 
 
-def _flag_run(a, n: int):
-    """n multiply-and-orthonormalize steps: a^n = Q T with log|T_jj| = logs[j].
+@functools.lru_cache(maxsize=64)
+def _flag_run(key: bytes, m: int, n: int):
+    """n multiply-and-orthonormalize steps on the m x m matrix a with a.tobytes() == key.
 
-    Returns (q, logs, tail_window, tail_logs): the tail quantities cover the
-    final quarter of the run, after the flag has aligned, so tail_logs / window
-    estimates asymptotic per-step rates free of the alignment transient.
+    a^n = Q T with Q of the last step.  Returns (q, levels): levels are the
+    per-step growth factors exp(log|T_jj| / window) over the final quarter of
+    the run, after the flag has aligned, so they are free of the alignment
+    transient.  The estimators called on one (a, n) share a run through this
+    memo, so both arrays are read-only.
     """
-    key = (a.tobytes(), a.shape[0], n)
-    hit = _flag_cache.get(key)
-    if hit is not None:
-        _flag_cache.move_to_end(key)
-        return hit
-    m = a.shape[0]
+    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
     q = np.eye(m, dtype=np.complex128)
     logs = np.zeros(m)
     window = max(1, n // 4)
@@ -147,25 +137,18 @@ def _flag_run(a, n: int):
         q, logs = _flag_step(a, q, logs)
     with np.errstate(invalid="ignore"):
         tail = logs - snapshot
-    tail[np.isneginf(logs)] = -np.inf
-    out = (q, logs, window, np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf))
-    _flag_cache[key] = out
-    if len(_flag_cache) > _FLAG_CACHE_MAX:
-        _flag_cache.popitem(last=False)
-    return out
+        tail[np.isneginf(logs)] = -np.inf
+        levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
+    levels = np.nan_to_num(levels, nan=0.0, posinf=0.0)
+    q.flags.writeable = False
+    levels.flags.writeable = False
+    return q, levels
 
 
 def _right_flag(a, n: int):
-    """Flag run on A*: columns approximate right singular directions of A^n,
-    logs[j]/n their log singular exponents."""
-    return _flag_run(np.ascontiguousarray(a.conj().T), n)
-
-
-def _tail_levels(window, tail_logs):
-    """Asymptotic per-step growth factors from a converged flag tail."""
-    with np.errstate(invalid="ignore"):
-        levels = np.exp(tail_logs / window)
-    return np.nan_to_num(levels, nan=0.0, posinf=0.0)
+    """Flag run on A*: columns of q approximate right singular directions of
+    A^n, levels their singular values' n-th roots."""
+    return _flag_run(a.conj().T.tobytes(), a.shape[0], n)
 
 
 def _use_exact_path(sp: ScaledPower, n: int) -> bool:
@@ -178,9 +161,7 @@ def _use_exact_path(sp: ScaledPower, n: int) -> bool:
 def normalized_power(a, n: int) -> np.ndarray:
     """|A^n|^(1/n) as a PSD matrix."""
     a = linalg.as_matrix(a)
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = _positive_int(n)
     sp = scaled_power(a, n)
     if sp.is_zero:
         return np.zeros_like(a)
@@ -192,8 +173,7 @@ def normalized_power(a, n: int) -> np.ndarray:
         # Asymptotic regime: reconstruct from the converged flag with
         # tail-window rates, which drop the alignment transient of the
         # first few hundred steps.
-        q, _, window, tail = _right_flag(a, n)
-        roots = _tail_levels(window, tail)
+        q, roots = _right_flag(a, n)
         out = (q * roots) @ q.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -201,9 +181,7 @@ def normalized_power(a, n: int) -> np.ndarray:
 def yamamoto_limits(a, n: int) -> np.ndarray:
     """(s_1(A^n)^(1/n), ..., s_m(A^n)^(1/n)), descending; zero singulars map to 0."""
     a = linalg.as_matrix(a)
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = _positive_int(n)
     sp = scaled_power(a, n)
     if sp.is_zero:
         return np.zeros(a.shape[0])
@@ -212,55 +190,54 @@ def yamamoto_limits(a, n: int) -> np.ndarray:
         vals = np.exp(sp.log_scale / n) * s ** (1.0 / n)
         vals[s == 0.0] = 0.0
     else:
-        _, _, window, tail = _right_flag(a, n)
-        vals = np.sort(_tail_levels(window, tail))[::-1]
+        vals = np.sort(_right_flag(a, n)[1])[::-1]
     return vals
+
+
+def orbit_log_norms(a, v, n: int) -> np.ndarray:
+    """log ||A^n v_j|| for each column of v, renormalizing every column at every step.
+
+    Logs of products that leave float range stay finite; a column whose orbit
+    reaches zero gets -inf.
+    """
+    logs = np.zeros(v.shape[1])
+    live = np.ones(v.shape[1], dtype=bool)
+    for _ in range(n):
+        v = a @ v
+        step = np.linalg.norm(v, axis=0)
+        live &= step > 0.0
+        safe = np.where(live, step, 1.0)
+        logs = np.where(live, logs + np.log(safe), -np.inf)
+        v = np.where(live, v / safe, 0.0)
+    return logs
 
 
 def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     """Growth exponents lim ||A^n x||^(1/n) for a batch of vectors (columns of xs)."""
     a = linalg.as_matrix(a)
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = _positive_int(n)
     xs = np.asarray(xs, dtype=np.complex128)
     if xs.ndim == 1:
         xs = xs[:, None]
     if xs.shape[0] != a.shape[0]:
         raise InvalidInput("vector dimension mismatch")
     norms = np.linalg.norm(xs, axis=0)
-    out = np.zeros(xs.shape[1])
-    live = norms > 0.0
 
     if n <= 128:
         # Direct renormalized iteration; trustworthy before roundoff seeds the
-        # fastest direction.
-        v = np.where(live, xs / np.where(live, norms, 1.0), 0.0)
-        logsum = np.zeros(xs.shape[1])
-        for _ in range(n):
-            v = a @ v
-            step = np.linalg.norm(v, axis=0)
-            live = live & (step > 0.0)
-            with np.errstate(divide="ignore"):
-                logsum = np.where(live, logsum + np.log(np.where(step > 0, step, 1.0)), -np.inf)
-            v = np.where(live, v / np.where(step > 0, step, 1.0), 0.0)
-        out[:] = np.where(np.isfinite(logsum), np.exp(logsum / n), 0.0)
-        out[norms == 0.0] = 0.0
-        return out
+        # fastest direction.  Zero columns stay zero and their orbits die.
+        units = xs / np.where(norms > 0.0, norms, 1.0)
+        return np.exp(orbit_log_norms(a, units, n) / n)
 
     # Large n: read the exponent off the converged right singular flag.  The
     # direct iterate is useless here; rounding noise in the fastest direction
     # overtakes any sub-dominant vector long before n of this size.  Levels
     # come from the tail window so the alignment transient does not bias them.
-    q, _, window, tail = _right_flag(a, n)
-    level = _tail_levels(window, tail)
-    coeff = np.abs(q.conj().T @ xs)
-    for j in range(xs.shape[1]):
-        if norms[j] == 0.0:
-            continue
-        significant = coeff[:, j] > _COEFF_TOL * norms[j]
-        out[j] = float(level[significant].max()) if np.any(significant) else 0.0
-    return out
+    # A vector's exponent is the largest level among the flag directions it
+    # has a significant component along (0 if none, as for x = 0).
+    q, level = _right_flag(a, n)
+    significant = np.abs(q.conj().T @ xs) > _COEFF_TOL * norms
+    return np.where(significant, level[:, None], 0.0).max(axis=0)
 
 
 def vector_exponent_estimate(a, x, n: int) -> float:
@@ -274,9 +251,7 @@ def convergence_study(a, schedule, limit_matrix, target: float = 1e-3) -> Conver
     if not schedule or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise InvalidInput("schedule must be nonempty and strictly increasing")
     k = np.asarray(limit_matrix, dtype=np.complex128)
-    t0 = time.perf_counter()
     errors = [float(linalg.norm2(normalized_power(a, n) - k)) for n in schedule]
-    wall = time.perf_counter() - t0
     tail = max(2, len(schedule) // 2)
     ns = np.array(schedule[-tail:], dtype=float)
     logs = np.log(np.maximum(errors[-tail:], 1e-300))
@@ -286,5 +261,4 @@ def convergence_study(a, schedule, limit_matrix, target: float = 1e-3) -> Conver
         errors=tuple(errors),
         estimated_rate=rate,
         converged=errors[-1] <= target,
-        wall_time=wall,
     )

@@ -1,9 +1,8 @@
 """Run records: deterministic JSON reports and CSV exports.
 
 Records serialize byte-identically for identical (config, seed, version):
-keys are sorted, floats use Python's shortest round-trip repr, and wall time
-is carried in memory only (serialized as null) so timing noise never leaks
-into the bytes.
+keys are sorted, floats use Python's shortest round-trip repr, and the
+``wall_time`` key is always null so timing noise never leaks into the bytes.
 """
 
 from __future__ import annotations
@@ -38,15 +37,14 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # where the record goes and execution knobs (parallelism) do not
-        # identify the experiment and stay out of the serialized echo
-        params = {k: v for k, v in self.params.items() if k != "workers"}
+        # where the record goes does not identify the experiment and stays
+        # out of the serialized echo
         return {
             "command": self.command,
             "seed": self.seed,
             "input_path": self.input_path,
             "csv": self.csv,
-            "params": params,
+            "params": self.params,
         }
 
 
@@ -56,7 +54,6 @@ class RunRecord:
     checks: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
-    wall_time: float | None = None
     version: str = ARTIFACT_VERSION
     rng: str = RNG_NAME
 

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import InvalidInput
-from .powerit import ScaledPower, vector_exponent_estimates
+from .powerit import ScaledPower, scaled_power, vector_exponent_estimates
 from .resolution import exp_growth_exponent_exact, halfplane_resolution, semigroup_limit
 
 __all__ = ["exp_growth_estimate", "exp_growth_exponent_exact", "halfplane_resolution",
@@ -22,24 +22,13 @@ _STEP_NORM_CAP = 0.5
 
 
 def matrix_exp_scaled(a, t: float) -> ScaledPower:
-    """exp(tA) by scaling and squaring with renormalized intermediates."""
+    """exp(tA) by scaling and squaring: the 2^s-th power of exp((t / 2^s) A)."""
     a = linalg.as_matrix(a)
     if t < 0:
         raise InvalidInput(f"t must be non-negative, got {t}")
-    m = a.shape[0]
-    if t == 0.0:
-        return ScaledPower(unit=np.eye(m, dtype=np.complex128), log_scale=0.0)
     norm_ta = t * linalg.norm2(a)
     squarings = max(0, int(np.ceil(np.log2(max(norm_ta / _STEP_NORM_CAP, 1.0)))))
-    base = scipy.linalg.expm((t / 2**squarings) * a)
-    log = np.log(linalg.norm2(base))
-    unit = base / np.exp(log)
-    for _ in range(squarings):
-        unit = unit @ unit
-        s = linalg.norm2(unit)
-        unit /= s
-        log = 2.0 * log + np.log(s)
-    return ScaledPower(unit=unit, log_scale=float(log))
+    return scaled_power(scipy.linalg.expm((t / 2**squarings) * a), 2**squarings)
 
 
 def exp_growth_estimate(a, x, t: float) -> float:

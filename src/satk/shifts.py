@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .powerit import orbit_log_norms
 
 # The detector's tail block is the last 1/_TAIL_FRACTION of the window lengths.
 _TAIL_FRACTION = 4
@@ -211,20 +212,11 @@ def shift_power_crosscheck(w: WeightSequence, m: int, n: int) -> CrosscheckRepor
         raise InvalidInput("n must be at least 1")
     if n > m // 2:
         raise InvalidInput(f"power {n} exceeds the truncation interior (m/2 = {m // 2})")
-    f = truncate_forward(w, m)
-    # Apply F^n to the identity with per-column renormalization: window
-    # products like q^1000 leave float range, their logs do not.
-    v = np.eye(m, dtype=np.complex128)
-    logs = np.zeros(m)
-    live = np.ones(m, dtype=bool)
-    for _ in range(n):
-        v = f @ v
-        nrm = np.linalg.norm(v, axis=0)
-        live &= nrm > 0.0
-        with np.errstate(divide="ignore"):
-            logs = np.where(live, logs + np.log(np.where(nrm > 0, nrm, 1.0)), -np.inf)
-        v = np.where(live, v / np.where(nrm > 0, nrm, 1.0), 0.0)
-    roots = np.where(live, np.exp(logs / n), 0.0)
+    # Column norms of F^n from a renormalized orbit of the identity: window
+    # products like q^1000 leave float range, their logs do not.  The orbit is
+    # called directly: the public estimator switches to flag rates past n = 128.
+    logs = orbit_log_norms(truncate_forward(w, m), np.eye(m, dtype=np.complex128), n)
+    roots = np.exp(logs / n)
     interior = m - n
     table = geometric_mean_table(w, interior, n)
     deviation = np.abs(roots[:interior] - table.values[:, n - 1])

@@ -156,13 +156,17 @@ def test_run_command_seeded_commands_pass():
         assert rec.passed, (cmd, rec.errors, rec.checks)
 
 
-def test_sweep_deterministic_across_parallelism():
-    base = {"count": 8, "n": 256, "tol": 5e-3}
-    r1 = run_command(RunConfig(command="sweep", seed=21, params=dict(base)))
-    r2 = run_command(RunConfig(command="sweep", seed=21, params={**base, "workers": 4}))
-    r3 = run_command(RunConfig(command="sweep", seed=21, params={**base, "workers": 2}))
-    assert r1.to_json() == r2.to_json() == r3.to_json()
-    assert r1.passed
+def test_cli_inline_config_longer_than_a_file_name(capsys):
+    # past 255 bytes the text is no legal file name: it must still read as JSON
+    vectors = [[[float(i == j), 0.0] for i in range(4)] for j in range(4)]
+    vectors += [[[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]] * 4]
+    text = json.dumps({"vectors": vectors})
+    assert len(text) > 255
+    code = main(["vector-exponent", "--seed", "3", "--config", text])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rec["config"]["params"]["vectors"] == vectors
+    assert len(rec["results"]["estimates"]) == len(vectors)
 
 
 def test_record_numbers_roundtrip():

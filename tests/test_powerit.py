@@ -74,9 +74,27 @@ def test_normalized_power_flag_agrees_with_exact_midrange(rng):
     u, sv, vh = np.linalg.svd(sp.unit)
     assert sv[-1] > 1e-10 * sv[0]  # exact path trustworthy here
     exact = vh.conj().T @ ((np.exp(sp.log_scale / n) * sv ** (1.0 / n))[:, None] * vh)
-    q, _, window, tail = powerit._right_flag(a, n)
-    flag = (q * powerit._tail_levels(window, tail)) @ q.conj().T
+    q, levels = powerit._right_flag(a, n)
+    flag = (q * levels) @ q.conj().T
     assert linalg.norm2(flag - exact) < 5e-2  # both near K; transient separates them
+
+
+def test_estimators_share_one_flag_run():
+    a = generate_instance(5, InstanceSpec(dim=5)).matrix
+    powerit._flag_run.cache_clear()
+    powerit.normalized_power(a, 4096)
+    powerit.yamamoto_limits(a, 4096)
+    powerit.vector_exponent_estimates(a, np.eye(5), 4096)
+    info = powerit._flag_run.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_flag_run_arrays_are_read_only():
+    q, levels = powerit._right_flag(FIXTURE, 256)
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        levels[0] = 0.0
 
 
 def test_normalized_power_nilpotent_is_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from satk import linalg, semigroup
+from satk import linalg, powerit, semigroup
 from satk.decomp import dunford
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
@@ -104,6 +104,15 @@ def test_exp_growth_estimate_agrees_with_exact_on_gapped_instances():
             exact = semigroup.exp_growth_exponent_exact(inst.decomposition, x)
             est = semigroup.exp_growth_estimate(inst.matrix, x, 200.0)
             assert est == pytest.approx(exact, abs=1e-2)
+
+
+def test_exp_growth_estimate_shares_one_flag_run():
+    # every basis column reads the same propagator's flag
+    inst = generate_instance(6200, GAPPED)
+    powerit._flag_run.cache_clear()
+    for j in range(4):
+        semigroup.exp_growth_estimate(inst.matrix, np.eye(4)[:, j], 200.0)
+    assert powerit._flag_run.cache_info().misses == 1
 
 
 def test_exp_growth_estimate_rejects_bad_input():
