@@ -2,12 +2,15 @@
 
 Every command produces a RunRecord; the process exits 0 iff all checks in the
 record pass.  Module errors are captured into the record, never raised out of
-the dispatcher.
+the dispatcher.  The keys a command takes in ``--config``, with their
+defaults, are the keyword parameters of its ``_cmd_*`` function; any other
+key is a usage error (exit 2, no record).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -39,17 +42,6 @@ from .semigroup import (
     semigroup_limit,
 )
 
-COMMANDS = (
-    "decompose",
-    "limit",
-    "iterate",
-    "yamamoto",
-    "vector-exponent",
-    "shift",
-    "semigroup",
-    "sweep",
-)
-
 _DEFAULT_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
@@ -62,13 +54,13 @@ def _load_config(text):
     return obj
 
 
-def _acquire(config: RunConfig):
+def _acquire(config: RunConfig, instance):
     """Matrix plus, when seeded, its certified ground-truth decomposition."""
     if config.input_path is not None:
         return parse_matrix(config.input_path), None
     if config.seed is None:
         raise UsageError("either --input or --seed is required")
-    spec = InstanceSpec(**config.params.get("instance", {}))
+    spec = InstanceSpec(**(instance or {}))
     inst = generate_instance(config.seed, spec)
     return inst.matrix, inst
 
@@ -83,12 +75,12 @@ def _sorted_moduli(a, inst):
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
 
 
-def _cmd_decompose(record, config):
-    a, inst = _acquire(config)
+def _cmd_decompose(record, config, tol=1e-8, instance=None):
+    a, inst = _acquire(config, instance)
     dec = _decomposition(a, inst)
     m = a.shape[0]
     scale = max(1.0, linalg.norm2(a))
-    tol = float(config.params.get("tol", 1e-8)) * scale
+    tol = float(tol) * scale
     record.add_check("reconstruction", linalg.norm2(dec.scalar_part + dec.nilpotent_part - a), tol)
     record.add_check(
         "idempotency",
@@ -106,11 +98,11 @@ def _cmd_decompose(record, config):
     record.results["condition_bound"] = dec.condition_bound
 
 
-def _cmd_limit(record, config):
-    a, inst = _acquire(config)
+def _cmd_limit(record, config, tol=1e-8, instance=None):
+    a, inst = _acquire(config, instance)
     res = modulus_resolution(_decomposition(a, inst))
     diag = check_resolution(res)
-    tol = float(config.params.get("tol", 1e-8))
+    tol = float(tol)
     record.add_check("idempotency", diag.max_idempotency_residual, tol)
     record.add_check("monotonicity", diag.max_monotonicity_violation, tol)
     record.add_check("top_identity", diag.top_identity_gap, tol)
@@ -119,39 +111,35 @@ def _cmd_limit(record, config):
     record.results["moduli"] = list(k.spectrum_moduli)
 
 
-def _cmd_iterate(record, config):
-    a, inst = _acquire(config)
-    schedule = [int(n) for n in config.params.get("schedule", _DEFAULT_SCHEDULE)]
-    target = float(config.params.get("tol", 1e-3))
+def _cmd_iterate(record, config, schedule=_DEFAULT_SCHEDULE, tol=1e-3, instance=None):
+    a, inst = _acquire(config, instance)
+    schedule = [int(n) for n in schedule]
     k = limit_operator(modulus_resolution(_decomposition(a, inst)))
-    report = convergence_study(a, schedule, k.matrix, target=target)
-    record.add_check("final_error", report.errors[-1], target)
+    report = convergence_study(a, schedule, k.matrix)
+    record.add_check("final_error", report.errors[-1], float(tol))
     record.results["schedule"] = list(report.schedule)
     record.results["errors"] = list(report.errors)
     record.results["estimated_rate"] = report.estimated_rate
     record.results["csv_rows"] = [[n, e] for n, e in zip(report.schedule, report.errors)]
 
 
-def _cmd_yamamoto(record, config):
-    a, inst = _acquire(config)
-    n = int(config.params.get("n", 4096))
-    tol = float(config.params.get("tol", 1e-3))
-    vals = yamamoto_limits(a, n)
+def _cmd_yamamoto(record, config, n=4096, tol=1e-3, instance=None):
+    a, inst = _acquire(config, instance)
+    vals = yamamoto_limits(a, int(n))
     expected = _sorted_moduli(a, inst)
-    record.add_check("max_deviation", float(np.max(np.abs(vals - expected))), tol)
+    record.add_check("max_deviation", float(np.max(np.abs(vals - expected))), float(tol))
     record.results["limits"] = vals
     record.results["expected"] = expected
 
 
-def _cmd_vector_exponent(record, config):
-    a, inst = _acquire(config)
-    n = int(config.params.get("n", 4096))
-    tol = float(config.params.get("tol", 1e-3))
+def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instance=None):
+    a, inst = _acquire(config, instance)
+    n, tol = int(n), float(tol)
     dec = _decomposition(a, inst)
     m = a.shape[0]
-    if "vectors" in config.params:
+    if vectors is not None:
         xs = np.array(
-            [[complex(re, im) for re, im in vec] for vec in config.params["vectors"]],
+            [[complex(re, im) for re, im in vec] for vec in vectors],
             dtype=np.complex128,
         ).T
     else:
@@ -163,36 +151,36 @@ def _cmd_vector_exponent(record, config):
     record.results["estimates"] = est
 
 
-def _weight_sequence(params):
-    kind = params.get("kind", "harmonic")
+def _weight_sequence(kind, values, ratio, level):
+    """``level=None`` means 1.0 for ``constant`` and 2.0 for ``blocks``."""
     if kind == "explicit":
-        return shifts.explicit(params["values"])
+        if values is None:
+            raise UsageError("kind 'explicit' needs 'values'")
+        return shifts.explicit(values)
     if kind == "harmonic":
         return shifts.harmonic()
     if kind == "geometric":
-        return shifts.geometric(float(params.get("ratio", 0.5)))
+        return shifts.geometric(float(ratio))
     if kind == "constant":
-        return shifts.constant(float(params.get("level", 1.0)))
+        return shifts.constant(float(1.0 if level is None else level))
     if kind == "blocks":
-        return shifts.blocks(float(params.get("level", 2.0)))
+        return shifts.blocks(float(2.0 if level is None else level))
     raise UsageError(f"unknown weight kind {kind!r}")
 
 
-def _cmd_shift(record, config):
-    p = config.params
-    w = _weight_sequence(p)
-    start_max = int(p.get("start_max", 64))
-    length_max = int(p.get("length_max", 256))
-    table = shifts.geometric_mean_table(w, start_max, length_max)
-    det = shifts.uniform_limit_detector(table, tol=float(p.get("detector_tol", 1e-2)))
+def _cmd_shift(
+    record, config, kind="harmonic", values=None, ratio=0.5, level=None,
+    start_max=64, length_max=256, detector_tol=1e-2, m=256, n=32, tol=1e-10,
+):
+    w = _weight_sequence(kind, values, ratio, level)
+    table = shifts.geometric_mean_table(w, int(start_max), int(length_max))
+    det = shifts.uniform_limit_detector(table, tol=float(detector_tol))
     record.results["converged"] = det.converged
     record.results["alpha"] = det.alpha
     record.results["witness"] = det.witness
     record.results["backward_converges"] = shifts.backward_classifier(w)
-    m = int(p.get("m", 256))
-    n = int(p.get("n", 32))
-    cross = shifts.shift_power_crosscheck(w, m, n)
-    record.add_check("crosscheck_deviation", cross.max_deviation, float(p.get("tol", 1e-10)))
+    cross = shifts.shift_power_crosscheck(w, int(m), int(n))
+    record.add_check("crosscheck_deviation", cross.max_deviation, float(tol))
     record.results["crosscheck"] = {
         "m": cross.truncation_dim,
         "n": cross.power,
@@ -200,10 +188,9 @@ def _cmd_shift(record, config):
     }
 
 
-def _cmd_semigroup(record, config):
-    a, inst = _acquire(config)
-    t = float(config.params.get("t", 200.0))
-    tol = float(config.params.get("tol", 1e-2))
+def _cmd_semigroup(record, config, t=200.0, tol=1e-2, instance=None):
+    a, inst = _acquire(config, instance)
+    t, tol = float(t), float(tol)
     dec = _decomposition(a, inst)
     res = halfplane_resolution(dec)
     k = semigroup_limit(res)
@@ -231,19 +218,16 @@ def _sweep_one(seed, spec, n):
     inst = generate_instance(seed, spec)
     k = limit_operator(modulus_resolution(inst.decomposition))
     err_k = float(linalg.norm2(normalized_power(inst.matrix, n) - k.matrix))
-    expected = np.sort(np.abs(np.array(inst.eigenvalues)))[::-1]
+    expected = _sorted_moduli(inst.matrix, inst)
     err_y = float(np.max(np.abs(yamamoto_limits(inst.matrix, n) - expected)))
     return {"seed": int(seed), "power_error": err_k, "yamamoto_error": err_y}
 
 
-def _cmd_sweep(record, config):
+def _cmd_sweep(record, config, count=50, n=4096, tol=1e-3, instance=None):
     if config.seed is None:
         raise UsageError("sweep requires --seed")
-    p = config.params
-    count = int(p.get("count", 50))
-    n = int(p.get("n", 4096))
-    tol = float(p.get("tol", 1e-3))
-    spec = InstanceSpec(**p.get("instance", {}))
+    count, n, tol = int(count), int(n), float(tol)
+    spec = InstanceSpec(**(instance or {}))
     rows = [_sweep_one(config.seed + i, spec, n) for i in range(count)]
     max_k = max(r["power_error"] for r in rows)
     max_y = max(r["yamamoto_error"] for r in rows)
@@ -270,11 +254,17 @@ _DISPATCH = {
 
 
 def run_command(config: RunConfig) -> RunRecord:
-    if config.command not in _DISPATCH:
+    """Run one command; a config key the command does not take is a UsageError."""
+    cmd = _DISPATCH.get(config.command)
+    if cmd is None:
         raise UsageError(f"unknown command {config.command!r}")
     record = RunRecord(config=config)
     try:
-        _DISPATCH[config.command](record, config)
+        bound = inspect.signature(cmd).bind(record, config, **config.params)
+    except TypeError as exc:
+        raise UsageError(f"{config.command}: {exc}") from None
+    try:
+        cmd(*bound.args, **bound.kwargs)
     except Exception as exc:  # captured, never propagated: the record is the report
         record.add_error(config.command, exc)
     return record
@@ -284,7 +274,7 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="satk", description="Spectral asymptotics toolkit for finite matrices."
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--input", help="matrix file (Matrix Market or JSON schema)")
     parser.add_argument("--seed", type=int, help="seed for a generated instance")
     parser.add_argument("--config", help="JSON object (inline or a file path) with parameters")
@@ -304,18 +294,18 @@ def main(argv=None) -> int:
         params = _load_config(args.config)
         if args.seed is not None and args.seed < 0:
             raise UsageError("seed must be a non-negative 64-bit integer")
-        config = RunConfig(
-            command=args.command,
-            seed=args.seed,
-            input_path=args.input,
-            output_path=args.out,
-            csv=args.csv,
-            params=params,
+        record = run_command(
+            RunConfig(
+                command=args.command,
+                seed=args.seed,
+                input_path=args.input,
+                csv=args.csv,
+                params=params,
+            )
         )
     except (UsageError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    record = run_command(config)
     text = record.to_json()
     if args.out:
         Path(args.out).write_text(text)

@@ -10,9 +10,6 @@ import scipy.linalg
 from . import linalg
 from .errors import IllConditioned, InvalidInput, NumericalFailure
 
-IDEM_TOL = 1e-8
-
-
 def default_cluster_tol(a) -> float:
     return 1e-6 * max(1.0, linalg.norm2(a))
 
@@ -47,10 +44,6 @@ class DunfordDecomposition:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def clusters(self) -> tuple:
-        return tuple(p.cluster for p in self.idempotents)
 
 
 def eigen_clusters(a, cluster_tol: float | None = None) -> list:

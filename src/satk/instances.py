@@ -10,7 +10,7 @@ numerical decomposition path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class InstanceSpec:
             raise InvalidInput("max_modulus must be positive")
         if self.cond_cap < 1:
             raise InvalidInput("cond_cap must be at least 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

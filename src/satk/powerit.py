@@ -52,7 +52,6 @@ class ConvergenceReport:
     schedule: tuple
     errors: tuple
     estimated_rate: float
-    converged: bool
 
 
 def _positive_int(n) -> int:
@@ -245,7 +244,7 @@ def vector_exponent_estimate(a, x, n: int) -> float:
     return float(vector_exponent_estimates(a, np.asarray(x), n)[0])
 
 
-def convergence_study(a, schedule, limit_matrix, target: float = 1e-3) -> ConvergenceReport:
+def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     """Errors ||A^n|^(1/n) - K|| over a schedule, with a log-error tail slope."""
     schedule = [int(n) for n in schedule]
     if not schedule or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
@@ -260,5 +259,4 @@ def convergence_study(a, schedule, limit_matrix, target: float = 1e-3) -> Conver
         schedule=tuple(schedule),
         errors=tuple(errors),
         estimated_rate=rate,
-        converged=errors[-1] <= target,
     )

@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,20 +31,11 @@ class RunConfig:
     command: str
     seed: int | None = None
     input_path: str | None = None
-    output_path: str | None = None
     csv: bool = False
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # where the record goes does not identify the experiment and stays
-        # out of the serialized echo
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "input_path": self.input_path,
-            "csv": self.csv,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -92,9 +82,6 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-
-    def write(self, path):
-        Path(path).write_text(self.to_json())
 
 
 def _jsonable(obj):

@@ -130,16 +130,14 @@ def geometric_mean_table(w: WeightSequence, start_max: int, length_max: int) -> 
     if start_max < 1 or length_max < 1:
         raise InvalidInput("table dimensions must be at least 1")
     mags = w.weights(start_max + length_max - 1)
-    with np.errstate(divide="ignore"):
-        logs = np.log(mags)
-    prefix = np.concatenate([[0.0], np.cumsum(logs)])
+    # a zero weight adds log 1 = 0 here; the zero count below zeroes its windows
+    prefix = np.concatenate([[0.0], np.cumsum(np.log(np.where(mags > 0, mags, 1.0)))])
     zeros = np.concatenate([[0], np.cumsum(mags == 0.0)])
     ks = np.arange(1, start_max + 1)[:, None]
     ns = np.arange(1, length_max + 1)[None, :]
     window_sum = prefix[ks + ns - 1] - prefix[ks - 1]
     window_zero = zeros[ks + ns - 1] - zeros[ks - 1]
-    with np.errstate(invalid="ignore"):
-        vals = np.exp(window_sum / ns)
+    vals = np.exp(window_sum / ns)
     vals[window_zero > 0] = 0.0
     return MeanTable(start_max=start_max, length_max=length_max, values=vals)
 

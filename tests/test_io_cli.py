@@ -152,8 +152,35 @@ def test_cli_parse_error_captured_not_raised(tmp_path, capsys):
 
 def test_run_command_seeded_commands_pass():
     for cmd in ("decompose", "limit", "yamamoto", "vector-exponent"):
-        rec = run_command(RunConfig(command=cmd, seed=11, params={"n": 512}))
+        params = {"n": 512} if cmd in ("yamamoto", "vector-exponent") else {}
+        rec = run_command(RunConfig(command=cmd, seed=11, params=params))
         assert rec.passed, (cmd, rec.errors, rec.checks)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["shift", "--seed", "0", "--config", '{"kind": "geometric", "q": 0.9}'], "q"),
+        (["limit", "--seed", "5", "--config", '{"n": 512}'], "n"),
+        (["sweep", "--seed", "42", "--config", '{"cout": 3}'], "cout"),
+    ],
+)
+def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, argv, key):
+    # a misspelled key must not silently run the default
+    out = tmp_path / "rec.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_cli_shift_means_after_a_zero_weight(tmp_path):
+    out = tmp_path / "rec.json"
+    config = json.dumps({"kind": "explicit", "values": [1.0, 0.0] + [0.5] * 400})
+    assert main(["shift", "--seed", "0", "--config", config, "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["checks"][0]["value"] <= 1e-10
+    # windows through w_2 stay 0 and the rest are 0.5: no uniform limit
+    assert rec["results"]["witness"] == [[3, 193], [1, 193]]
 
 
 def test_cli_inline_config_longer_than_a_file_name(capsys):

@@ -40,9 +40,11 @@ def test_geometric_mean_table_matches_direct():
 
 
 def test_geometric_mean_table_zero_weights():
-    table = shifts.geometric_mean_table(shifts.explicit([1.0, 0.0, 2.0]), 2, 2)
+    table = shifts.geometric_mean_table(shifts.explicit([1.0, 0.0, 2.0, 8.0]), 3, 2)
     assert table.values[0, 1] == 0.0  # window covering w_2 = 0
     assert table.values[0, 0] == pytest.approx(1.0)
+    assert table.values[2, 0] == 2.0  # window [w_3], after the zero
+    assert table.values[2, 1] == pytest.approx(4.0)
 
 
 def test_detector_constant_recovers_level():
