@@ -3,8 +3,10 @@
 Every command produces a RunRecord; the process exits 0 iff all checks in the
 record pass.  Module errors are captured into the record, never raised out of
 the dispatcher.  The keys a command takes in ``--config``, with their
-defaults, are the keyword parameters of its ``_cmd_*`` function; any other
-key is a usage error (exit 2, no record).
+defaults, are the keyword parameters of its ``_cmd_*`` function.  Any other
+key or ``instance`` field, a source the command does not read (``shift``
+reads neither ``--input`` nor ``--seed``, ``sweep`` only ``--seed``), and an
+``--input`` that names no file are usage errors (exit 2, no record).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,6 +46,9 @@ from .semigroup import (
 )
 
 _DEFAULT_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+# The sources a command reads where that is not both --input and --seed:
+# shift builds its own weight sequence and sweep draws seeded instances.
+_SOURCES = {"shift": (), "sweep": ("seed",)}
 
 
 def _load_config(text):
@@ -254,7 +260,7 @@ _DISPATCH = {
 
 
 def run_command(config: RunConfig) -> RunRecord:
-    """Run one command; a config key the command does not take is a UsageError."""
+    """Run one command; each usage error the module docstring lists raises UsageError."""
     cmd = _DISPATCH.get(config.command)
     if cmd is None:
         raise UsageError(f"unknown command {config.command!r}")
@@ -263,6 +269,16 @@ def run_command(config: RunConfig) -> RunRecord:
         bound = inspect.signature(cmd).bind(record, config, **config.params)
     except TypeError as exc:
         raise UsageError(f"{config.command}: {exc}") from None
+    try:
+        InstanceSpec(**(bound.arguments.get("instance") or {}))
+    except TypeError as exc:
+        raise UsageError(f"{config.command}: instance: {exc}") from None
+    sources = _SOURCES.get(config.command, ("input", "seed"))
+    for name, value in (("input", config.input_path), ("seed", config.seed)):
+        if value is not None and name not in sources:
+            raise UsageError(f"{config.command} does not read '--{name}'")
+    if config.input_path is not None and not os.path.isfile(config.input_path):
+        raise UsageError(f"--input {config.input_path!r} is not a file")
     try:
         cmd(*bound.args, **bound.kwargs)
     except Exception as exc:  # captured, never propagated: the record is the report

@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import linalg
 from .errors import InvalidInput
@@ -108,46 +109,62 @@ def brute_force_power(a, n: int) -> np.ndarray:
 # --- QR-accumulation flag runs ------------------------------------------------
 
 def _flag_step(a, q, logs):
-    b = a @ q
-    q, r = np.linalg.qr(b)
-    with np.errstate(divide="ignore"):
-        logs = logs + np.log(np.abs(np.diag(r)))
+    """a @ q = q' r by LAPACK Householder QR; returns q' and logs + log|r_jj|.
+
+    Callers run their loop under ``np.errstate(divide="ignore")``: a singular
+    step gives log 0 = -inf.
+    """
+    qr, tau, _, info = lapack.zgeqrf(a @ q, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgeqrf failed with info={info}")
+    logs = logs + np.log(np.abs(qr.diagonal()))
+    q, _, info = lapack.zungqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zungqr failed with info={info}")
     return q, logs
 
 
 @functools.lru_cache(maxsize=64)
-def _flag_run(key: bytes, m: int, n: int):
-    """n multiply-and-orthonormalize steps on the m x m matrix a with a.tobytes() == key.
+def _flag_run(key: bytes, m: int, ns: tuple):
+    """One flag run on the m x m matrix a with a.tobytes() == key, read at each n in ns.
 
-    a^n = Q T with Q of the last step.  Returns (q, levels): levels are the
-    per-step growth factors exp(log|T_jj| / window) over the final quarter of
-    the run, after the flag has aligned, so they are free of the alignment
-    transient.  The estimators called on one (a, n) share a run through this
-    memo, so both arrays are read-only.
+    ns is a sorted tuple of step counts.  After n multiply-and-orthonormalize
+    steps a^n = Q T with Q of that step.  Returns one (q, levels) per n: levels
+    are the per-step growth factors exp(log|T_jj| / window) over the final
+    quarter of the first n steps, after the flag has aligned, so they are free
+    of the alignment transient.  Steps are the same whatever ns holds, so a
+    read-out at n does not depend on the other entries.  The estimators called
+    on one (a, n) share a run through this memo, so the arrays are read-only.
     """
     a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
-    q = np.eye(m, dtype=np.complex128)
-    logs = np.zeros(m)
-    window = max(1, n // 4)
-    snapshot = logs
-    for step in range(n):
-        if step == n - window:
-            snapshot = logs
-        q, logs = _flag_step(a, q, logs)
-    with np.errstate(invalid="ignore"):
-        tail = logs - snapshot
-        tail[np.isneginf(logs)] = -np.inf
-        levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
-    levels = np.nan_to_num(levels, nan=0.0, posinf=0.0)
-    q.flags.writeable = False
-    levels.flags.writeable = False
-    return q, levels
+    keep = set(ns) | {n - max(1, n // 4) for n in ns}
+    at = {0: (np.eye(m, dtype=np.complex128), np.zeros(m))}
+    q, logs = at[0]
+    with np.errstate(divide="ignore"):
+        for step in range(1, ns[-1] + 1):
+            q, logs = _flag_step(a, q, logs)
+            if step in keep:
+                at[step] = q, logs
+    out = []
+    for n in ns:
+        q, logs = at[n]
+        window = max(1, n // 4)
+        with np.errstate(invalid="ignore"):
+            tail = logs - at[n - window][1]
+            tail[np.isneginf(logs)] = -np.inf
+            levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
+        levels = np.nan_to_num(levels, nan=0.0, posinf=0.0)
+        q.flags.writeable = False
+        levels.flags.writeable = False
+        out.append((q, levels))
+    return tuple(out)
 
 
-def _right_flag(a, n: int):
-    """Flag run on A*: columns of q approximate right singular directions of
-    A^n, levels their singular values' n-th roots."""
-    return _flag_run(a.conj().T.tobytes(), a.shape[0], n)
+def _right_flag(a, ns):
+    """Flag run on A* read at each n in the sorted tuple ns: columns of each q
+    approximate right singular directions of A^n, levels their singular
+    values' n-th roots."""
+    return _flag_run(a.conj().T.tobytes(), a.shape[0], ns)
 
 
 def _use_exact_path(sp: ScaledPower, n: int) -> bool:
@@ -157,24 +174,37 @@ def _use_exact_path(sp: ScaledPower, n: int) -> bool:
     return s[-1] >= _EXACT_SPREAD_FLOOR * s[0]
 
 
+def _exact_power(a, n: int):
+    """|A^n|^(1/n) from the single scaled matrix, or None where the spread of
+    A^n calls for a flag run."""
+    sp = scaled_power(a, n)
+    if sp.is_zero:
+        return np.zeros_like(a)
+    if not _use_exact_path(sp, n):
+        return None
+    u, s, vh = np.linalg.svd(sp.unit)
+    roots = np.exp(sp.log_scale / n) * s ** (1.0 / n)
+    out = vh.conj().T @ (roots[:, None] * vh)
+    return 0.5 * (out + out.conj().T)
+
+
+def _flag_power(q, roots):
+    """Asymptotic regime: |A^n|^(1/n) rebuilt from the converged flag with
+    tail-window rates, which drop the alignment transient of the first few
+    hundred steps."""
+    out = (q * roots) @ q.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
 def normalized_power(a, n: int) -> np.ndarray:
     """|A^n|^(1/n) as a PSD matrix."""
     a = linalg.as_matrix(a)
     n = _positive_int(n)
-    sp = scaled_power(a, n)
-    if sp.is_zero:
-        return np.zeros_like(a)
-    if _use_exact_path(sp, n):
-        u, s, vh = np.linalg.svd(sp.unit)
-        roots = np.exp(sp.log_scale / n) * s ** (1.0 / n)
-        out = vh.conj().T @ (roots[:, None] * vh)
-    else:
-        # Asymptotic regime: reconstruct from the converged flag with
-        # tail-window rates, which drop the alignment transient of the
-        # first few hundred steps.
-        q, roots = _right_flag(a, n)
-        out = (q * roots) @ q.conj().T
-    return 0.5 * (out + out.conj().T)
+    out = _exact_power(a, n)
+    if out is None:
+        (q, roots), = _right_flag(a, (n,))
+        out = _flag_power(q, roots)
+    return out
 
 
 def yamamoto_limits(a, n: int) -> np.ndarray:
@@ -189,7 +219,8 @@ def yamamoto_limits(a, n: int) -> np.ndarray:
         vals = np.exp(sp.log_scale / n) * s ** (1.0 / n)
         vals[s == 0.0] = 0.0
     else:
-        vals = np.sort(_right_flag(a, n)[1])[::-1]
+        (_, levels), = _right_flag(a, (n,))
+        vals = np.sort(levels)[::-1]
     return vals
 
 
@@ -234,7 +265,7 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     # come from the tail window so the alignment transient does not bias them.
     # A vector's exponent is the largest level among the flag directions it
     # has a significant component along (0 if none, as for x = 0).
-    q, level = _right_flag(a, n)
+    (q, level), = _right_flag(a, (n,))
     significant = np.abs(q.conj().T @ xs) > _COEFF_TOL * norms
     return np.where(significant, level[:, None], 0.0).max(axis=0)
 
@@ -245,12 +276,22 @@ def vector_exponent_estimate(a, x, n: int) -> float:
 
 
 def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
-    """Errors ||A^n|^(1/n) - K|| over a schedule, with a log-error tail slope."""
+    """Errors ||A^n|^(1/n) - K|| over a schedule, with a log-error tail slope.
+
+    Each n takes the path ``normalized_power`` takes; the n on the flag path
+    are all read from one flag run to the largest of them.
+    """
+    a = linalg.as_matrix(a)
     schedule = [int(n) for n in schedule]
-    if not schedule or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
-        raise InvalidInput("schedule must be nonempty and strictly increasing")
+    if not schedule or schedule[0] < 1 or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
+        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
     k = np.asarray(limit_matrix, dtype=np.complex128)
-    errors = [float(linalg.norm2(normalized_power(a, n) - k)) for n in schedule]
+    powers = {n: _exact_power(a, n) for n in schedule}
+    flag_ns = tuple(n for n in schedule if powers[n] is None)
+    if flag_ns:
+        for n, (q, roots) in zip(flag_ns, _right_flag(a, flag_ns)):
+            powers[n] = _flag_power(q, roots)
+    errors = [float(linalg.norm2(powers[n] - k)) for n in schedule]
     tail = max(2, len(schedule) // 2)
     ns = np.array(schedule[-tail:], dtype=float)
     logs = np.log(np.maximum(errors[-tail:], 1e-300))

@@ -163,10 +163,17 @@ def test_run_command_seeded_commands_pass():
         (["shift", "--seed", "0", "--config", '{"kind": "geometric", "q": 0.9}'], "q"),
         (["limit", "--seed", "5", "--config", '{"n": 512}'], "n"),
         (["sweep", "--seed", "42", "--config", '{"cout": 3}'], "cout"),
+        (["limit", "--seed", "3", "--config", '{"instance": {"dimm": 6}}'], "dimm"),
+        (["sweep", "--seed", "3", "--config", '{"instance": {"dimm": 6}}'], "dimm"),
+        (["shift", "--seed", "0"], "--seed"),
+        (["shift", "--input", __file__], "--input"),
+        (["sweep", "--seed", "3", "--input", __file__, "--config", '{"count": 1}'], "--input"),
+        (["limit", "--input", "no_such_matrix.mtx"], "no_such_matrix.mtx"),
     ],
 )
 def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, argv, key):
-    # a misspelled key must not silently run the default
+    # a misspelled key, a source the command does not read or an --input that
+    # names no file must not silently run the default
     out = tmp_path / "rec.json"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
@@ -176,7 +183,7 @@ def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, argv, key):
 def test_cli_shift_means_after_a_zero_weight(tmp_path):
     out = tmp_path / "rec.json"
     config = json.dumps({"kind": "explicit", "values": [1.0, 0.0] + [0.5] * 400})
-    assert main(["shift", "--seed", "0", "--config", config, "--out", str(out)]) == 0
+    assert main(["shift", "--config", config, "--out", str(out)]) == 0
     rec = json.loads(out.read_text())
     assert rec["checks"][0]["value"] <= 1e-10
     # windows through w_2 stay 0 and the rest are 0.5: no uniform limit

@@ -74,7 +74,7 @@ def test_normalized_power_flag_agrees_with_exact_midrange(rng):
     u, sv, vh = np.linalg.svd(sp.unit)
     assert sv[-1] > 1e-10 * sv[0]  # exact path trustworthy here
     exact = vh.conj().T @ ((np.exp(sp.log_scale / n) * sv ** (1.0 / n))[:, None] * vh)
-    q, levels = powerit._right_flag(a, n)
+    (q, levels), = powerit._right_flag(a, (n,))
     flag = (q * levels) @ q.conj().T
     assert linalg.norm2(flag - exact) < 5e-2  # both near K; transient separates them
 
@@ -90,11 +90,69 @@ def test_estimators_share_one_flag_run():
 
 
 def test_flag_run_arrays_are_read_only():
-    q, levels = powerit._right_flag(FIXTURE, 256)
+    (q, levels), = powerit._right_flag(FIXTURE, (256,))
     with pytest.raises(ValueError):
         q[0, 0] = 0.0
     with pytest.raises(ValueError):
         levels[0] = 0.0
+
+
+def _reference_flag_run(a, ns):
+    """(q, levels) at each n in ns from a plain loop of numpy QR steps: the
+    direct-LAPACK kernel must reproduce it bit for bit."""
+    m = a.shape[0]
+    q, logs = np.eye(m, dtype=np.complex128), np.zeros(m)
+    history = [logs]
+    out = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(1, max(ns) + 1):
+            q, r = np.linalg.qr(a @ q)
+            logs = logs + np.log(np.abs(np.diag(r)))
+            history.append(logs)
+            if step in ns:
+                window = max(1, step // 4)
+                tail = logs - history[step - window]
+                tail[np.isneginf(logs)] = -np.inf
+                levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
+                out[step] = q, np.nan_to_num(levels, nan=0.0, posinf=0.0)
+    return out
+
+
+def _flag_kernel_cases():
+    rng = np.random.default_rng(2024)
+    for m in range(1, 9):
+        yield pytest.param("generic", random_complex(rng, (m, m)), id=f"generic-{m}")
+    # exact zeros on the diagonal of every step's r: logs reach -inf
+    singular = np.triu(random_complex(rng, (5, 5)))
+    singular[4, 4] = 0.0
+    yield pytest.param("singular", singular, id="singular-5")
+    yield pytest.param("nilpotent", 2.0 * np.eye(4, k=1, dtype=complex), id="nilpotent-4")
+
+
+@pytest.mark.parametrize("kind, a", list(_flag_kernel_cases()))
+def test_flag_run_matches_numpy_qr_reference(kind, a):
+    ns = (65, 1000, 4096)
+    key, m = a.tobytes(), a.shape[0]
+    ref = _reference_flag_run(a, ns)
+    combined = powerit._flag_run(key, m, ns)
+    for n, (q, levels) in zip(ns, combined):
+        (q1, levels1), = powerit._flag_run(key, m, (n,))
+        for got_q, got_levels in ((q, levels), (q1, levels1)):
+            assert got_q.tobytes() == ref[n][0].tobytes(), n
+            assert got_levels.tobytes() == ref[n][1].tobytes(), n
+    levels = combined[-1][1]
+    if kind == "singular":
+        assert levels.min() == 0.0 < levels.max()
+    elif kind == "nilpotent":
+        assert levels.max() == 0.0
+
+
+@pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
+def test_flag_step_raises_on_lapack_failure(monkeypatch, routine):
+    real = getattr(powerit.lapack, routine)
+    monkeypatch.setattr(powerit.lapack, routine, lambda *a, **k: (*real(*a, **k)[:-1], -1))
+    with pytest.raises(np.linalg.LinAlgError, match=routine):
+        powerit._flag_step(FIXTURE, np.eye(2, dtype=complex), np.zeros(2))
 
 
 def test_normalized_power_nilpotent_is_zero():
@@ -156,6 +214,23 @@ def test_convergence_study_decreasing_error():
     assert report.errors[-1] <= 1e-2
     assert report.errors[-1] < report.errors[0]
     assert report.estimated_rate < 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 4, None])
+def test_convergence_study_errors_match_normalized_power(seed):
+    # the instances take the exact path up to n = 64 and the flag after it;
+    # the close moduli 1 and 0.99 keep the exact path up to n = 1024
+    if seed is None:
+        a = np.array([[1.0, 1.0], [0.0, 0.99]], dtype=complex)
+    else:
+        a = generate_instance(seed, InstanceSpec(dim=4)).matrix
+    schedule = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+    on_flag = [powerit._exact_power(a, n) is None for n in schedule]
+    assert any(on_flag) and not all(on_flag)
+    k = limit_operator(modulus_resolution(dunford(a))).matrix
+    report = powerit.convergence_study(a, schedule, k)
+    per_n = [float(linalg.norm2(powerit.normalized_power(a, n) - k)) for n in schedule]
+    assert np.array(report.errors).tobytes() == np.array(per_n).tobytes()
 
 
 def test_convergence_study_rejects_bad_schedule():
