@@ -5,8 +5,10 @@ record pass.  Module errors are captured into the record, never raised out of
 the dispatcher.  The keys a command takes in ``--config``, with their
 defaults, are the keyword parameters of its ``_cmd_*`` function.  Any other
 key or ``instance`` field, a source the command does not read (``shift``
-reads neither ``--input`` nor ``--seed``, ``sweep`` only ``--seed``), and an
-``--input`` that names no file are usage errors (exit 2, no record).
+reads neither ``--input`` nor ``--seed``, ``sweep`` only ``--seed``), a
+missing source (any other command needs ``--input`` or ``--seed``, ``sweep``
+needs ``--seed``), and an ``--input`` that names no file are usage errors
+(exit 2, no record).
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ def _acquire(config: RunConfig, instance):
     """Matrix plus, when seeded, its certified ground-truth decomposition."""
     if config.input_path is not None:
         return parse_matrix(config.input_path), None
-    if config.seed is None:
-        raise UsageError("either --input or --seed is required")
     spec = InstanceSpec(**(instance or {}))
     inst = generate_instance(config.seed, spec)
     return inst.matrix, inst
@@ -230,8 +230,6 @@ def _sweep_one(seed, spec, n):
 
 
 def _cmd_sweep(record, config, count=50, n=4096, tol=1e-3, instance=None):
-    if config.seed is None:
-        raise UsageError("sweep requires --seed")
     count, n, tol = int(count), int(n), float(tol)
     spec = InstanceSpec(**(instance or {}))
     rows = [_sweep_one(config.seed + i, spec, n) for i in range(count)]
@@ -274,9 +272,12 @@ def run_command(config: RunConfig) -> RunRecord:
     except TypeError as exc:
         raise UsageError(f"{config.command}: instance: {exc}") from None
     sources = _SOURCES.get(config.command, ("input", "seed"))
-    for name, value in (("input", config.input_path), ("seed", config.seed)):
+    given = {"input": config.input_path, "seed": config.seed}
+    for name, value in given.items():
         if value is not None and name not in sources:
             raise UsageError(f"{config.command} does not read '--{name}'")
+    if sources and all(given[name] is None for name in sources):
+        raise UsageError(f"{config.command} needs " + " or ".join(repr(f"--{s}") for s in sources))
     if config.input_path is not None and not os.path.isfile(config.input_path):
         raise UsageError(f"--input {config.input_path!r} is not a file")
     try:

@@ -133,12 +133,20 @@ def test_cli_unknown_command_usage_error():
     assert main(["frobnicate", "--seed", "1"]) == 2
 
 
-def test_cli_missing_source_is_captured(tmp_path, capsys):
-    code = main(["decompose"])
-    out = capsys.readouterr().out
-    rec = json.loads(out)
-    assert code == 1
-    assert rec["errors"] and rec["errors"][0]["type"] == "UsageError"
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        pytest.param(["decompose"], "'--input' or '--seed'", id="decompose"),
+        pytest.param(["sweep", "--config", '{"count": 1}'], "'--seed'", id="sweep"),
+    ],
+)
+def test_cli_missing_source_is_usage_error(tmp_path, capsys, argv, needs):
+    out = tmp_path / "rec.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} needs {needs}" in captured.err
 
 
 def test_cli_parse_error_captured_not_raised(tmp_path, capsys):

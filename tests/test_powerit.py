@@ -97,24 +97,36 @@ def test_flag_run_arrays_are_read_only():
         levels[0] = 0.0
 
 
-def _reference_flag_run(a, ns):
-    """(q, levels) at each n in ns from a plain loop of numpy QR steps: the
-    direct-LAPACK kernel must reproduce it bit for bit."""
+def _reference_flag_run(a, ns, k):
+    """(q, levels) at each n in ns from a plain loop of numpy QR steps on the
+    block schedule of the kernel: QR of A^k q along the trunk, then p % k steps
+    of A to each read-out point p.  The direct-LAPACK kernel must reproduce it
+    bit for bit; k = 1 is the unblocked run."""
     m = a.shape[0]
+    ak = np.linalg.matrix_power(a, k)
+    points = set(ns) | {n - max(1, n // 4) for n in ns}
+    at = {}
+
+    def step(b, q, logs):
+        q, r = np.linalg.qr(b @ q)
+        return q, logs + np.log(np.abs(np.diag(r)))
+
     q, logs = np.eye(m, dtype=np.complex128), np.zeros(m)
-    history = [logs]
-    out = {}
     with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(1, max(ns) + 1):
-            q, r = np.linalg.qr(a @ q)
-            logs = logs + np.log(np.abs(np.diag(r)))
-            history.append(logs)
-            if step in ns:
-                window = max(1, step // 4)
-                tail = logs - history[step - window]
-                tail[np.isneginf(logs)] = -np.inf
-                levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
-                out[step] = q, np.nan_to_num(levels, nan=0.0, posinf=0.0)
+        for trunk in range(0, max(ns) + 1, k):
+            for p in points:
+                if trunk <= p < trunk + k:
+                    at[p] = q, logs
+                    for _ in range(p - trunk):
+                        at[p] = step(a, *at[p])
+            q, logs = step(ak, q, logs)
+        out = {}
+        for n in ns:
+            window = max(1, n // 4)
+            tail = at[n][1] - at[n - window][1]
+            tail[np.isneginf(at[n][1])] = -np.inf
+            levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
+            out[n] = at[n][0], np.nan_to_num(levels, nan=0.0, posinf=0.0)
     return out
 
 
@@ -133,7 +145,9 @@ def _flag_kernel_cases():
 def test_flag_run_matches_numpy_qr_reference(kind, a):
     ns = (65, 1000, 4096)
     key, m = a.tobytes(), a.shape[0]
-    ref = _reference_flag_run(a, ns)
+    k = powerit._block_power(a)[0]
+    assert (k > 1) == (kind == "generic")
+    ref = _reference_flag_run(a, ns, k)
     combined = powerit._flag_run(key, m, ns)
     for n, (q, levels) in zip(ns, combined):
         (q1, levels1), = powerit._flag_run(key, m, (n,))
@@ -145,6 +159,58 @@ def test_flag_run_matches_numpy_qr_reference(kind, a):
         assert levels.min() == 0.0 < levels.max()
     elif kind == "nilpotent":
         assert levels.max() == 0.0
+
+
+def _blocked_gate_cases():
+    """14 acceptance instances (2 per dim), unitarily conjugated 6 x 6 direct
+    sums of 2 x 2 blocks [[a, c], [0, b]], and DT-like matrices (eigenvalues
+    uniform in the unit disc plus a strictly upper Gaussian part scaled by
+    1/sqrt(2m), under a random unitary) at m = 16 and 32."""
+    for i in range(14):
+        inst = generate_instance(20000 + i, InstanceSpec(dim=2 + i % 7))
+        yield pytest.param(inst.matrix, id=f"acceptance-{inst.seed}")
+    rng = np.random.default_rng(77)
+    for j in range(4):
+        t = np.zeros((6, 6), dtype=complex)
+        for b in range(0, 6, 2):
+            diag = rng.uniform(0.3, 1.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            t[b : b + 2, b : b + 2] = [[diag[0], random_complex(rng, ())], [0.0, diag[1]]]
+        u, _ = np.linalg.qr(random_complex(rng, (6, 6)))
+        yield pytest.param(u @ t @ u.conj().T, id=f"direct-sum-{j}")
+    for m in (16, 32):
+        eigs = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+        t = np.diag(eigs) + np.triu(random_complex(rng, (m, m)), 1) / np.sqrt(2 * m)
+        u, _ = np.linalg.qr(random_complex(rng, (m, m)))
+        yield pytest.param(u @ t @ u.conj().T, id=f"dt-{m}")
+
+
+@pytest.mark.parametrize("a", list(_blocked_gate_cases()))
+def test_blocked_flag_matches_unblocked(monkeypatch, a):
+    n = 4096
+    b = a.conj().T
+    assert powerit._block_power(b)[0] > 1
+    blocked = powerit._flag_power(*powerit._right_flag(a, (n,))[0])
+    # the unblocked run: the kernel at k = 1, which is the k = 1 reference
+    # loop bit for bit (test_flag_run_matches_numpy_qr_reference)
+    monkeypatch.setattr(powerit, "_block_power", lambda x: (1, x))
+    (q, roots), = powerit._flag_run.__wrapped__(b.tobytes(), b.shape[0], (n,))
+    assert linalg.norm2(blocked - powerit._flag_power(q, roots)) <= 1e-10
+
+
+@pytest.mark.parametrize("c, k", [(1e200, 1), (1e-200, 1), (1e-40, 4)])
+def test_flag_estimates_scale_with_the_matrix(c, k):
+    # A^2 of c * A leaves float range at c = 1e±200 and A^8 is subnormal at
+    # c = 1e-40, so those blocks are refused; A itself runs in blocks of 8
+    a, n = np.array([[1, 1], [0, 0.5]], dtype=complex), 4096
+    assert powerit._block_power(a.conj().T)[0] == 8
+    assert powerit._block_power(c * a.conj().T)[0] == k
+    # a run sums its logs of size |log c| per step: each sum rounds at up to
+    # eps * n * |log c|, 4.2e-10 relative at c = 1e±200
+    rel = n * abs(np.log(c)) * np.finfo(float).eps
+    want = c * powerit.normalized_power(a, n)
+    assert linalg.norm2(powerit.normalized_power(c * a, n) - want) <= rel * linalg.norm2(want)
+    want = c * powerit.yamamoto_limits(a, n)
+    assert powerit.yamamoto_limits(c * a, n) == pytest.approx(want, rel=rel)
 
 
 @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
