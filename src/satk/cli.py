@@ -203,7 +203,7 @@ def _cmd_semigroup(record, config, t=200.0, tol=1e-2, instance=None):
     expected = []
     prev_rank = 0
     for value, g in zip(k.spectrum_moduli, res.projections):
-        rank = int(round(np.trace(g).real))
+        rank = linalg.matrix_rank(g)
         expected.extend([value] * (rank - prev_rank))
         prev_rank = rank
     eigs = np.sort(np.linalg.eigvalsh(k.matrix))

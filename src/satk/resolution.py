@@ -2,34 +2,29 @@
 
 One construction serves both limits of the paper.  The spectrum is grouped
 into levels by a key: the eigenvalue modulus for lim |A^n|^(1/n), the real
-part for lim |exp(tA)|^(1/t).  F_j is the range projection of the sum of the
-spectral idempotents at levels <= j, and each limit is a weighted sum of the
-increments F_j - F_{j-1}.
+part for lim |exp(tA)|^(1/t).  F_j, the range of the spectral idempotent of
+the levels <= j, is the leading invariant subspace of the Schur form of A
+reordered to put those eigenvalues first: F_j = Z_1 Z_1*.  Each limit is a
+weighted sum of the increments F_j - F_{j-1}.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import linalg
-from .decomp import DunfordDecomposition, default_cluster_tol
-from .errors import InvalidInput
+from .decomp import DunfordDecomposition, default_cluster_tol, schur_form, single_linkage
+from .errors import IllConditioned, InvalidInput, NumericalFailure
 
 MEMBERSHIP_TOL = 1e-8
-
-
-def cluster_values(values, tol: float) -> list[list[int]]:
-    """Group indices of sorted-comparable real values whose gaps are <= tol (single linkage)."""
-    order = np.argsort(values)
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and values[idx] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
+# A cut between two levels is refused when sep(T11, T22) of its reordered
+# Schur form is below SEP_FLOOR * max(1, ||A||): the error of F_j is about
+# eps * ||A|| / sep (Stewart 1973), which this keeps under 1e-6.
+SEP_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,9 +33,6 @@ class LevelResolution:
 
     levels: tuple
     projections: tuple
-    source: DunfordDecomposition
-    # e_j = sum of idempotents with level <= j; oblique, used for membership tests
-    idempotent_sums: tuple
 
 
 @dataclass(frozen=True)
@@ -57,47 +49,52 @@ class ResolutionDiagnostics:
     max_monotonicity_violation: float
     top_identity_gap: float
 
-    def within(self, tol: float) -> bool:
-        return (
-            self.max_idempotency_residual <= tol
-            and self.max_monotonicity_violation <= tol
-            and self.top_identity_gap <= tol
-        )
-
-
-def _level_sums(dec: DunfordDecomposition, key):
-    """Clustered levels key(lambda), ascending, with the cumulative idempotent sums e_j.
-
-    Distinct eigenvalue clusters whose keys coincide merge into one level.
-    """
-    values = np.array([key(p.cluster.representative) for p in dec.idempotents])
-    levels = []
-    sums = []
-    acc = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for group in cluster_values(values, default_cluster_tol(dec.matrix)):
-        levels.append(float(np.mean(values[group])))
-        for idx in group:
-            acc = acc + dec.idempotents[idx].matrix
-        sums.append(acc)
-    return levels, sums
-
 
 def _level_resolution(dec: DunfordDecomposition, key) -> LevelResolution:
-    levels, sums = _level_sums(dec, key)
+    clusters = tuple((p.cluster.representative, p.cluster.multiplicity) for p in dec.idempotents)
+    return _resolution(dec.matrix.tobytes(), dec.dim, key, clusters)
+
+
+@functools.lru_cache(maxsize=8)
+def _resolution(matrix_key: bytes, m: int, key, clusters: tuple) -> LevelResolution:
+    """Resolution of the m x m matrix with a.tobytes() == matrix_key and the
+    (representative, multiplicity) clusters.  Levels: the clustered keys of
+    the representatives, ascending.  At each cut between levels the Schur
+    form is reordered to put the keys below it first; the cut is refused if
+    their count is not the multiplicity below it or their sep is small.
+    Membership tests share this memo, so the projections are read-only."""
+    a = np.frombuffer(matrix_key, dtype=np.complex128).reshape(m, m)
+    scale = max(1.0, linalg.norm2(a))  # for the cluster tolerance and the sep floor
+    values = np.array([key(rep) for rep, _ in clusters])
+    groups = single_linkage(values, default_cluster_tol(scale))
+    levels, groups = zip(*sorted((float(np.mean(values[g])), g) for g in groups))
+    t, z = schur_form(a)
+    projections = []
+    rank = 0
+    for j, group in enumerate(groups[:-1]):
+        rank += sum(clusters[i][1] for i in group)
+        select = key(t.diagonal()) <= 0.5 * (levels[j] + levels[j + 1])
+        k = int(np.count_nonzero(select))
+        t, z, _, _, _, sep, info = lapack.ztrsen(select, t, z, job="V", lwork=max(1, 2 * k * (m - k)))
+        if info != 0:
+            raise NumericalFailure(f"ztrsen failed with info={info}")
+        if k != rank or sep < SEP_FLOOR * scale:
+            raise IllConditioned(
+                f"cut above level {j + 1} of {len(levels)} ({levels[j]:.6g}) refused: sep = {sep:.3g}, "
+                f"{k} Schur eigenvalues below it for multiplicity {rank}",
+                residual=float(sep),
+            )
+        projections.append(z[:, :k] @ z[:, :k].conj().T)
     # the top level covers everything: take the exact identity
-    projections = [linalg.range_projection(e) for e in sums[:-1]]
-    projections.append(np.eye(dec.dim, dtype=np.complex128))
-    return LevelResolution(
-        levels=tuple(levels),
-        projections=tuple(projections),
-        source=dec,
-        idempotent_sums=tuple(sums),
-    )
+    projections.append(np.eye(m, dtype=np.complex128))
+    for f in projections:
+        f.flags.writeable = False
+    return LevelResolution(levels=levels, projections=tuple(projections))
 
 
 def modulus_resolution(dec: DunfordDecomposition) -> LevelResolution:
     """F_j = R(e_A(D_{a_j})) over the clustered moduli a_1 < ... < a_k."""
-    return _level_resolution(dec, abs)
+    return _level_resolution(dec, np.abs)
 
 
 def halfplane_resolution(dec: DunfordDecomposition) -> LevelResolution:
@@ -106,7 +103,7 @@ def halfplane_resolution(dec: DunfordDecomposition) -> LevelResolution:
 
 
 def _weighted_sum(res: LevelResolution, weight) -> LimitOperator:
-    dim = res.source.dim
+    dim = res.projections[-1].shape[0]
     k = np.zeros((dim, dim), dtype=np.complex128)
     prev = np.zeros((dim, dim), dtype=np.complex128)
     weights = [weight(level) for level in res.levels]
@@ -127,18 +124,18 @@ def semigroup_limit(res: LevelResolution) -> LimitOperator:
 
 
 def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
-    """Smallest level whose cumulative idempotent range contains x; None for x = 0."""
+    """Smallest level whose F_j contains x; None for x = 0."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != dec.dim:
         raise InvalidInput(f"vector has length {x.shape[0]}, expected {dec.dim}")
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return None
-    levels, sums = _level_sums(dec, key)
-    for level, e in zip(levels, sums):
-        if np.linalg.norm(e @ x - x) <= MEMBERSHIP_TOL * nx:
+    res = _level_resolution(dec, key)
+    for level, f in zip(res.levels, res.projections):
+        if np.linalg.norm(f @ x - x) <= MEMBERSHIP_TOL * nx:
             return level
-    return levels[-1]
+    return res.levels[-1]
 
 
 def vector_exponent_exact(dec: DunfordDecomposition, x) -> float:
@@ -169,7 +166,7 @@ def check_resolution(res: LevelResolution) -> ResolutionDiagnostics:
             low = float(np.linalg.eigvalsh(0.5 * (f + f.conj().T) - prev)[0])
             mono = max(mono, -min(low, 0.0))
         prev = 0.5 * (f + f.conj().T)
-    top_gap = linalg.norm2(res.projections[-1] - np.eye(res.source.dim))
+    top_gap = linalg.norm2(res.projections[-1] - np.eye(res.projections[-1].shape[0]))
     return ResolutionDiagnostics(
         max_idempotency_residual=float(idem),
         max_monotonicity_violation=float(mono),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from satk import linalg
+
 
 @pytest.fixture
 def rng():
@@ -45,3 +47,21 @@ def orthogonal_partition(rng, m, k):
         q[:, a:b] @ q[:, a:b].conj().T
         for a, b in zip(bounds, bounds[1:])
     ]
+
+
+def range_oracle(dec, key, weight):
+    """sum_j w(a_j) (R(e_j) - R(e_{j-1})), with R(e_j) the range projection
+    of the certified idempotent sum over the levels <= a_j."""
+    keys = np.array([key(p.cluster.representative) for p in dec.idempotents])
+    ordered = np.sort(keys)
+    tops = [*ordered[:-1][np.diff(ordered) > 1e-9], ordered[-1]]
+    m = dec.dim
+    out = np.zeros((m, m), dtype=complex)
+    prev = np.zeros((m, m), dtype=complex)
+    below = -np.inf
+    for top in tops:
+        level = float(np.mean(keys[(keys > below) & (keys <= top)]))
+        f = linalg.range_projection(sum(p.matrix for p, v in zip(dec.idempotents, keys) if v <= top))
+        out += weight(level) * (f - prev)
+        prev, below = f, top
+    return out

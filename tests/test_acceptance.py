@@ -29,6 +29,7 @@ from conftest import (
     random_invertible,
     random_projection,
     random_psd,
+    range_oracle,
 )
 
 N_MAIN = 4096
@@ -38,7 +39,9 @@ SEED_BASE = 20000
 
 @pytest.fixture(scope="module")
 def main_family():
-    """One pass over the 200 certified instances: all large-n errors at once."""
+    """One pass over the 200 certified instances: all large-n errors at once,
+    and the closed form against the range-projection oracle."""
+    oracle_errors = []
     power_errors = []
     yamamoto_errors = []
     vector_errors = []
@@ -46,6 +49,7 @@ def main_family():
         dim = 2 + i % 7
         inst = generate_instance(SEED_BASE + i, InstanceSpec(dim=dim))
         k = limit_operator(modulus_resolution(inst.decomposition))
+        oracle_errors.append(linalg.norm2(k.matrix - range_oracle(inst.decomposition, np.abs, float)))
         power_errors.append(
             linalg.norm2(normalized_power(inst.matrix, N_MAIN) - k.matrix)
         )
@@ -62,22 +66,27 @@ def main_family():
         exact = np.array([vector_exponent_exact(inst.decomposition, x) for x in cols])
         est = vector_exponent_estimates(inst.matrix, xs, N_MAIN)
         vector_errors.append(float(np.max(np.abs(est - exact))))
-    return power_errors, yamamoto_errors, vector_errors
+    return power_errors, yamamoto_errors, vector_errors, oracle_errors
+
+
+def test_closed_form_matches_range_oracle(main_family):
+    *_, oracle_errors = main_family
+    assert max(oracle_errors) <= 1e-12
 
 
 def test_main_theorem_equivalence(main_family):
-    power_errors, _, _ = main_family
+    power_errors, *_ = main_family
     assert len(power_errors) == 200
     assert max(power_errors) <= TOL_MAIN
 
 
 def test_yamamoto_suite(main_family):
-    _, yam_errors, _ = main_family
+    _, yam_errors, *_ = main_family
     assert max(yam_errors) <= TOL_MAIN
 
 
 def test_vector_exponent_suite(main_family):
-    _, _, vec_errors = main_family
+    _, _, vec_errors, _ = main_family
     assert max(vec_errors) <= TOL_MAIN
 
 

@@ -83,17 +83,24 @@ def test_dunford_jordan_block():
 
 
 def test_modulus_levels_partition_identity():
-    # sum_P P = I, split at every modulus level into the disc and its complement
+    # sum_P P = I, split at every modulus level into the disc and its
+    # complement; the disc idempotent is an oblique projection onto F_j
     inst = generate_instance(321, InstanceSpec(dim=6))
     dec = decomp.dunford(inst.matrix)
     res = modulus_resolution(dec)
-    assert linalg.norm2(res.idempotent_sums[-1] - np.eye(6)) < 1e-8
-    for level, inside in zip(res.levels, res.idempotent_sums):
+    assert linalg.norm2(sum(p.matrix for p in dec.idempotents) - np.eye(6)) < 1e-8
+    for level, f in zip(res.levels, res.projections):
+        inside = sum(
+            (p.matrix for p in dec.idempotents if abs(p.cluster.representative) <= level + 1e-9),
+            np.zeros((6, 6)),
+        )
         outside = sum(
             (p.matrix for p in dec.idempotents if abs(p.cluster.representative) > level + 1e-9),
             np.zeros((6, 6)),
         )
         assert linalg.norm2(inside + outside - np.eye(6)) < 1e-8
+        assert linalg.norm2(f @ inside - inside) < 1e-8
+        assert linalg.norm2(inside @ f - f) < 1e-8
 
 
 def test_scalar_part_is_weighted_idempotent_sum():
@@ -115,3 +122,18 @@ def test_close_eigenvalues_cluster_into_usable_projector():
     assert len(clusters) == 1
     p = decomp.spectral_idempotent(a, clusters[0], cluster_tol=1e-2)
     assert linalg.norm2(p.matrix - np.eye(2)) < 1e-10
+
+
+def test_dunford_makes_one_schur_form(monkeypatch):
+    # three clusters (one a 2 x 2 Jordan block), one zgees call: the clusters
+    # and every idempotent come from the same Schur form
+    calls = []
+    zgees = decomp.lapack.zgees
+    monkeypatch.setattr(decomp.lapack, "zgees", lambda *args, **kw: calls.append(1) or zgees(*args, **kw))
+    decomp._schur_form.cache_clear()
+    t = np.array([[1, 0.3, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0.5], [0, 0, 0, 3j]], dtype=complex)
+    s = np.eye(4) + 0.1 * random_complex(np.random.default_rng(5), (4, 4))
+    dec = decomp.dunford(np.linalg.solve(s, t @ s))
+    assert len(calls) == 1
+    assert sorted(p.cluster.multiplicity for p in dec.idempotents) == [1, 1, 2]
+    assert linalg.norm2(sum(p.matrix for p in dec.idempotents) - np.eye(4)) < 1e-10

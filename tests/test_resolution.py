@@ -2,22 +2,25 @@ import numpy as np
 import pytest
 
 from satk import linalg
-from satk.decomp import dunford
+from satk.decomp import dunford, single_linkage
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import (
     check_resolution,
-    cluster_values,
+    halfplane_resolution,
     limit_operator,
     modulus_resolution,
+    semigroup_limit,
     vector_exponent_exact,
 )
+
+from conftest import range_oracle
 
 
 def test_cluster_values_groups_gaps():
     vals = np.array([0.0, 1.0, 1.05, 3.0])
-    groups = cluster_values(vals, 0.1)
-    assert [sorted(g) for g in groups] == [[0], [1, 2], [3]]
+    groups = single_linkage(vals, 0.1)
+    assert sorted(groups) == [[0], [1, 2], [3]]
 
 
 def test_resolution_monotone_and_tops_out():
@@ -25,7 +28,9 @@ def test_resolution_monotone_and_tops_out():
         inst = generate_instance(8000 + i, InstanceSpec(dim=2 + i % 6))
         res = modulus_resolution(inst.decomposition)
         diag = check_resolution(res)
-        assert diag.within(1e-8)
+        assert diag.max_idempotency_residual <= 1e-8
+        assert diag.max_monotonicity_violation <= 1e-8
+        assert diag.top_identity_gap <= 1e-8
         assert list(res.levels) == sorted(res.levels)
         ranks = [linalg.matrix_rank(f) for f in res.projections]
         assert ranks == sorted(ranks)
@@ -83,3 +88,12 @@ def test_vector_exponent_exact_dimension_mismatch():
     inst = generate_instance(903, InstanceSpec(dim=3))
     with pytest.raises(InvalidInput):
         vector_exponent_exact(inst.decomposition, np.ones(4))
+
+
+def test_semigroup_limit_matches_range_oracle():
+    worst = 0.0
+    for i in range(50):
+        dec = generate_instance(63000 + i, InstanceSpec(dim=2 + i % 7, min_real_gap=0.2)).decomposition
+        k = semigroup_limit(halfplane_resolution(dec)).matrix
+        worst = max(worst, linalg.norm2(k - range_oracle(dec, np.real, np.exp)))
+    assert worst <= 1e-12
