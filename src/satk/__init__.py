@@ -32,7 +32,6 @@ from .powerit import (
     convergence_study,
     normalized_power,
     scaled_power,
-    vector_exponent_estimate,
     vector_exponent_estimates,
     yamamoto_limits,
 )

@@ -3,6 +3,7 @@
 All of them come from one complex Schur form A = Z T Z* per matrix: the
 eigenvalues are the diagonal of T, and a cluster's idempotent comes from T
 reordered to put the cluster first and one triangular Sylvester solve.
+``reorder_schur`` makes every split of T, here and in ``satk.resolution``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import linalg
-from .errors import IllConditioned, InvalidInput, NumericalFailure
+from .errors import IllConditioned, NumericalFailure
 
-
-def default_cluster_tol(norm: float) -> float:
-    """Eigenvalues (and level keys) this close, for ||A|| = norm, are one spectral point."""
-    return 1e-6 * max(1.0, norm)
+# A split of the Schur form is refused when sep(T11, T22) is below
+# SEP_FLOOR * max(1, ||A||): the error of its invariant subspace is about
+# eps * ||A|| / sep (Stewart 1973), which this keeps under 1e-6.
+SEP_FLOOR = 1e-10
+# Eigenvalues (and level keys) within CLUSTER_TOL * max(1, ||A||) are one spectral point.
+CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,20 +59,38 @@ class DunfordDecomposition:
 
 @functools.lru_cache(maxsize=8)
 def _schur_form(key: bytes, m: int):
-    """(T, Z) with A = Z T Z* for the m x m matrix with a.tobytes() == key,
-    by LAPACK zgees.  Shared through this memo, so the arrays are read-only."""
+    """(T, Z, scale) with A = Z T Z* and scale = max(1, ||A||) for the m x m
+    matrix with a.tobytes() == key, by LAPACK zgees.  Shared through this
+    memo, so the arrays are read-only."""
     a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
     t, _, _, z, _, info = lapack.zgees(lambda w: 0, a)
     if info != 0:
         raise NumericalFailure(f"zgees failed with info={info}")
     t.flags.writeable = False
     z.flags.writeable = False
-    return t, z
+    return t, z, max(1.0, linalg.norm2(a))
 
 
 def schur_form(a):
-    """The complex Schur form (T, Z) of A = Z T Z*, computed once per matrix."""
+    """(T, Z, max(1, ||A||)) with A = Z T Z*, computed once per matrix."""
     return _schur_form(a.tobytes(), a.shape[0])
+
+
+def reorder_schur(t, z, select, scale: float):
+    """(T, Z, k): the Schur form reordered by ztrsen to put the k selected
+    diagonal entries first.  Refused with IllConditioned(residual=sep) when
+    sep(T11, T22) < SEP_FLOOR * scale."""
+    m = t.shape[0]
+    k = int(np.count_nonzero(select))
+    t, z, _, _, _, sep, info = lapack.ztrsen(select, t, z, job="V", lwork=max(1, 2 * k * (m - k)))
+    if info != 0:
+        raise NumericalFailure(f"ztrsen failed with info={info}")
+    if sep < SEP_FLOOR * scale:
+        raise IllConditioned(
+            f"Schur split after {k} of {m} eigenvalues refused: sep = {sep:.3g} < {SEP_FLOOR * scale:.3g}",
+            residual=float(sep),
+        )
+    return t, z, k
 
 
 def single_linkage(values, tol: float) -> list[list[int]]:
@@ -81,68 +102,44 @@ def single_linkage(values, tol: float) -> list[list[int]]:
     return groups
 
 
-def eigen_clusters(a, cluster_tol: float | None = None) -> list:
+def eigen_clusters(a) -> list:
     """Single-linkage clustering of the eigenvalues of A (the Schur diagonal).
 
     Clusters are returned sorted by (Re, Im) of their representatives and are
-    pairwise separated by more than ``cluster_tol``.
+    pairwise separated by more than ``CLUSTER_TOL * max(1, ||A||)``.
     """
-    a = linalg.as_matrix(a)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(linalg.norm2(a))
-    if cluster_tol <= 0:
-        raise InvalidInput("cluster_tol must be positive")
-    eigvals = [complex(z) for z in schur_form(a)[0].diagonal()]
-    groups = [[eigvals[i] for i in g] for g in single_linkage(eigvals, cluster_tol)]
+    t, _, scale = schur_form(linalg.as_matrix(a))
+    eigvals = [complex(z) for z in t.diagonal()]
+    groups = [[eigvals[i] for i in g] for g in single_linkage(eigvals, CLUSTER_TOL * scale)]
     clusters = [EigenCluster(complex(np.mean(vals)), tuple(vals), len(vals)) for vals in groups]
     clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
     return clusters
 
 
-def _reordered_projector(t, z, select) -> np.ndarray:
-    """Projector onto the selected Schur diagonal entries: ztrsen reorders T to
-    [[T11, T12], [0, T22]] with them in T11, ztrsyl solves T11 Y - Y T22 = T12,
-    and Z [[I, Y], [0, 0]] Z* commutes with A."""
-    m = t.shape[0]
-    k = int(np.count_nonzero(select))
-    if k == 0:
-        return np.zeros((m, m), dtype=np.complex128)
-    if k == m:
-        return np.eye(m, dtype=np.complex128)
-    t, z, _, _, _, _, info = lapack.ztrsen(select, t, z, job="N")
-    if info != 0:
-        raise NumericalFailure(f"ztrsen failed with info={info}")
-    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    y, scale, info = lapack.ztrsyl(t11, t22, t12, isgn=-1)
-    if info < 0:
-        raise NumericalFailure(f"ztrsyl failed with info={info}")
-    y = y / scale
-    residual = np.linalg.norm(t11 @ y - y @ t22 - t12, 2)
-    bound = 1e-6 * max(1.0, np.linalg.norm(t12, 2)) * max(1.0, np.linalg.norm(y, 2))
-    if not np.isfinite(residual) or residual > bound:
-        raise IllConditioned("cluster separation is too ill-conditioned", residual=float(residual))
-    return z[:, :k] @ np.hstack([np.eye(k), y]) @ z.conj().T
-
-
-def spectral_idempotent(a, cluster: EigenCluster, cluster_tol: float | None = None) -> SpectralIdempotent:
-    """Idempotent onto the generalized eigenspace of ``cluster``: the Schur
-    diagonal entries within ``cluster_tol`` of its members."""
-    a = linalg.as_matrix(a)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(linalg.norm2(a))
-    t, z = schur_form(a)
+def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
+    """Idempotent onto the generalized eigenspace of ``cluster``, the Schur
+    diagonal entries within ``CLUSTER_TOL * max(1, ||A||)`` of its members: T
+    reordered to [[T11, T12], [0, T22]] with them in T11, ztrsyl solves
+    T11 Y - Y T22 = T12, and Z [[I, Y], [0, 0]] Z* commutes with A."""
+    t, z, scale = schur_form(linalg.as_matrix(a))
     gaps = np.abs(t.diagonal()[:, None] - np.array(cluster.members)[None, :])
-    p = _reordered_projector(t, z, gaps.min(axis=1) <= cluster_tol)
+    select = gaps.min(axis=1) <= CLUSTER_TOL * scale
+    m, k = t.shape[0], int(np.count_nonzero(select))
+    if k == 0 or k == m:
+        p = np.eye(m, dtype=np.complex128) if k else np.zeros((m, m), dtype=np.complex128)
+    else:
+        t, z, k = reorder_schur(t, z, select, scale)
+        y, s, info = lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        if info < 0:
+            raise NumericalFailure(f"ztrsyl failed with info={info}")
+        p = z[:, :k] @ np.hstack([np.eye(k), y / s]) @ z.conj().T
     return SpectralIdempotent(matrix=p, cluster=cluster)
 
 
-def dunford(a, cluster_tol: float | None = None) -> DunfordDecomposition:
+def dunford(a) -> DunfordDecomposition:
     """Dunford (Jordan-Chevalley) decomposition of A from its cluster idempotents."""
     a = linalg.as_matrix(a)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(linalg.norm2(a))
-    clusters = eigen_clusters(a, cluster_tol)
-    idempotents = tuple(spectral_idempotent(a, c, cluster_tol) for c in clusters)
+    idempotents = tuple(spectral_idempotent(a, c) for c in eigen_clusters(a))
     d = np.zeros_like(a)
     for p in idempotents:
         d += p.cluster.representative * p.matrix

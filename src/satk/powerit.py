@@ -305,11 +305,6 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     return np.where(significant, level[:, None], 0.0).max(axis=0)
 
 
-def vector_exponent_estimate(a, x, n: int) -> float:
-    """Growth exponent lim ||A^n x||^(1/n) for one vector; 0 for x = 0 or a dead orbit."""
-    return float(vector_exponent_estimates(a, np.asarray(x), n)[0])
-
-
 def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     """Errors ||A^n|^(1/n) - K|| over a schedule, with a log-error tail slope.
 

@@ -14,17 +14,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import linalg
-from .decomp import DunfordDecomposition, default_cluster_tol, schur_form, single_linkage
-from .errors import IllConditioned, InvalidInput, NumericalFailure
+from .decomp import CLUSTER_TOL, DunfordDecomposition, reorder_schur, schur_form, single_linkage
+from .errors import IllConditioned, InvalidInput
 
 MEMBERSHIP_TOL = 1e-8
-# A cut between two levels is refused when sep(T11, T22) of its reordered
-# Schur form is below SEP_FLOOR * max(1, ||A||): the error of F_j is about
-# eps * ||A|| / sep (Stewart 1973), which this keeps under 1e-6.
-SEP_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,29 +55,23 @@ def _resolution(matrix_key: bytes, m: int, key, clusters: tuple) -> LevelResolut
     """Resolution of the m x m matrix with a.tobytes() == matrix_key and the
     (representative, multiplicity) clusters.  Levels: the clustered keys of
     the representatives, ascending.  At each cut between levels the Schur
-    form is reordered to put the keys below it first; the cut is refused if
-    their count is not the multiplicity below it or their sep is small.
-    Membership tests share this memo, so the projections are read-only."""
-    a = np.frombuffer(matrix_key, dtype=np.complex128).reshape(m, m)
-    scale = max(1.0, linalg.norm2(a))  # for the cluster tolerance and the sep floor
+    form is reordered to put the keys below it first (``reorder_schur``,
+    which refuses a small sep); the cut is also refused if their count is not
+    the multiplicity below it.  Membership tests share this memo, so the
+    projections are read-only."""
+    t, z, scale = schur_form(np.frombuffer(matrix_key, dtype=np.complex128).reshape(m, m))
     values = np.array([key(rep) for rep, _ in clusters])
-    groups = single_linkage(values, default_cluster_tol(scale))
+    groups = single_linkage(values, CLUSTER_TOL * scale)
     levels, groups = zip(*sorted((float(np.mean(values[g])), g) for g in groups))
-    t, z = schur_form(a)
     projections = []
     rank = 0
     for j, group in enumerate(groups[:-1]):
         rank += sum(clusters[i][1] for i in group)
-        select = key(t.diagonal()) <= 0.5 * (levels[j] + levels[j + 1])
-        k = int(np.count_nonzero(select))
-        t, z, _, _, _, sep, info = lapack.ztrsen(select, t, z, job="V", lwork=max(1, 2 * k * (m - k)))
-        if info != 0:
-            raise NumericalFailure(f"ztrsen failed with info={info}")
-        if k != rank or sep < SEP_FLOOR * scale:
+        t, z, k = reorder_schur(t, z, key(t.diagonal()) <= 0.5 * (levels[j] + levels[j + 1]), scale)
+        if k != rank:
             raise IllConditioned(
-                f"cut above level {j + 1} of {len(levels)} ({levels[j]:.6g}) refused: sep = {sep:.3g}, "
-                f"{k} Schur eigenvalues below it for multiplicity {rank}",
-                residual=float(sep),
+                f"cut above level {j + 1} of {len(levels)} ({levels[j]:.6g}) refused: "
+                f"{k} Schur eigenvalues below it for multiplicity {rank}"
             )
         projections.append(z[:, :k] @ z[:, :k].conj().T)
     # the top level covers everything: take the exact identity

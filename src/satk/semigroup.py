@@ -19,6 +19,8 @@ __all__ = ["exp_growth_estimate", "exp_growth_exponent_exact", "halfplane_resolu
 
 # The scaled step exp((t / 2^s) A) is taken with ||(t / 2^s) A|| under this.
 _STEP_NORM_CAP = 0.5
+# exp_growth_estimate refuses a t ||A|| that needs more propagator steps than this.
+_MAX_STEPS = 2**22
 
 
 def matrix_exp_scaled(a, t: float) -> ScaledPower:
@@ -44,7 +46,10 @@ def exp_growth_estimate(a, x, t: float) -> float:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if np.linalg.norm(x) == 0.0:
         raise InvalidInput("growth exponent of the zero vector is undefined")
-    steps = max(1, int(np.ceil(t * max(linalg.norm2(a), 0.5) / _STEP_NORM_CAP)))
+    steps = np.ceil(t * max(linalg.norm2(a), 0.5) / _STEP_NORM_CAP)
+    if not steps <= _MAX_STEPS:
+        raise InvalidInput(f"t ||A|| needs {steps:.3g} propagator steps, more than {_MAX_STEPS}")
+    steps = max(1, int(steps))
     h = t / steps
     propagator = matrix_exp_scaled(a, h)
     growth = vector_exponent_estimates(propagator.unit, x, steps)[0]

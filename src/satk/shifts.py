@@ -46,16 +46,6 @@ class WeightSequence:
         elif self.kind != "harmonic":
             raise InvalidInput(f"unknown weight kind {self.kind!r}")
 
-    @property
-    def bound(self) -> float:
-        if self.kind == "explicit":
-            return float(max(abs(v) for v in self.values))
-        if self.kind == "harmonic":
-            return 0.5
-        if self.kind == "geometric":
-            return self.ratio
-        return float(self.level)
-
     def weights(self, count: int) -> np.ndarray:
         """|w_1|, ..., |w_count| as magnitudes."""
         k = np.arange(1, count + 1)

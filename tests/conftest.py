@@ -38,6 +38,14 @@ def random_invertible(rng, m, delta=0.3, cond_cap=50.0):
         delta *= 0.5
 
 
+def similar_jordan(k):
+    """S^-1 (J_k(0.5) + [1]) S with S = I + 0.1 G, G from default_rng(0)."""
+    g = np.random.default_rng(0).standard_normal((k + 1, k + 1))
+    s = np.eye(k + 1) + 0.1 * g
+    j = np.diag(np.r_[np.full(k, 0.5), 1.0]) + np.diag(np.r_[np.ones(k - 1), 0.0], 1)
+    return np.linalg.solve(s, j @ s)
+
+
 def orthogonal_partition(rng, m, k):
     """Mutually orthogonal projections E_1..E_k with sum I."""
     q, _ = np.linalg.qr(random_complex(rng, (m, m)))

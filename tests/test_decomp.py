@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from satk import decomp, linalg
-from satk.errors import InvalidInput
+from satk.errors import IllConditioned
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import modulus_resolution
 
-from conftest import random_complex
+from conftest import random_complex, similar_jordan
 
 
 def test_eigen_clusters_merges_close_values():
     a = np.diag([1.0, 1.0 + 1e-9, 3.0]).astype(complex)
-    clusters = decomp.eigen_clusters(a, cluster_tol=1e-6)
+    clusters = decomp.eigen_clusters(a)
     assert sorted(c.multiplicity for c in clusters) == [1, 2]
 
 
@@ -21,11 +21,6 @@ def test_eigen_clusters_sorted_and_separated(rng):
     reps = [c.representative for c in clusters]
     assert reps == sorted(reps, key=lambda z: (z.real, z.imag))
     assert sum(c.multiplicity for c in clusters) == 6
-
-
-def test_eigen_clusters_rejects_bad_tol():
-    with pytest.raises(InvalidInput):
-        decomp.eigen_clusters(np.eye(2), cluster_tol=0.0)
 
 
 def test_spectral_idempotent_matches_ground_truth():
@@ -116,11 +111,12 @@ def test_scalar_part_is_weighted_idempotent_sum():
 
 
 def test_close_eigenvalues_cluster_into_usable_projector():
-    # nearly defective pair: as a single cluster the projector is benign
+    # nearly defective pair: within 1e-6 ||A|| = 1, so one cluster, and as a
+    # single cluster the projector is benign
     a = np.array([[1.0, 1e6], [0.0, 1.0 + 1e-4]], dtype=complex)
-    clusters = decomp.eigen_clusters(a, cluster_tol=1e-2)
+    clusters = decomp.eigen_clusters(a)
     assert len(clusters) == 1
-    p = decomp.spectral_idempotent(a, clusters[0], cluster_tol=1e-2)
+    p = decomp.spectral_idempotent(a, clusters[0])
     assert linalg.norm2(p.matrix - np.eye(2)) < 1e-10
 
 
@@ -137,3 +133,12 @@ def test_dunford_makes_one_schur_form(monkeypatch):
     assert len(calls) == 1
     assert sorted(p.cluster.multiplicity for p in dec.idempotents) == [1, 1, 2]
     assert linalg.norm2(sum(p.matrix for p in dec.idempotents) - np.eye(4)) < 1e-10
+
+
+def test_dunford_refuses_similar_jordan_block():
+    # rounding splits the Jordan eigenvalue 0.5 into clusters whose Schur
+    # split has sep ~ eps ||A||: refused, with the sep as the residual
+    a = similar_jordan(4)
+    with pytest.raises(IllConditioned) as err:
+        decomp.dunford(a)
+    assert 0.0 < err.value.residual < decomp.SEP_FLOOR * max(1.0, linalg.norm2(a))

@@ -13,6 +13,8 @@ from satk.mmio import matrix_to_json, parse_matrix
 from satk.powerit import normalized_power
 from satk.records import ARTIFACT_VERSION, RunConfig, read_error_csv, write_error_csv
 
+from conftest import similar_jordan
+
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
 
 MM_ARRAY_IDENTITY = """%%MatrixMarket matrix array complex general
@@ -114,20 +116,12 @@ def test_cli_limit_fixture(tmp_path, capsys):
     assert rec["wall_time"] is None
 
 
-def _cli_limit(tmp_path, a):
+def _cli_run(tmp_path, a, command="limit"):
     src = tmp_path / "a.json"
     src.write_text(json.dumps(matrix_to_json(a)))
     out = tmp_path / "record.json"
-    code = main(["limit", "--input", str(src), "--out", str(out)])
+    code = main([command, "--input", str(src), "--out", str(out)])
     return code, json.loads(out.read_text())
-
-
-def _similar_jordan(k):
-    """S^-1 (J_k(0.5) + [1]) S with S = I + 0.1 G, G from default_rng(0)."""
-    g = np.random.default_rng(0).standard_normal((k + 1, k + 1))
-    s = np.eye(k + 1) + 0.1 * g
-    j = np.diag(np.r_[np.full(k, 0.5), 1.0]) + np.diag(np.r_[np.ones(k - 1), 0.0], 1)
-    return np.linalg.solve(s, j @ s)
 
 
 def _dt_like(seed, m, s=1 / np.sqrt(2)):
@@ -142,10 +136,11 @@ def _dt_like(seed, m, s=1 / np.sqrt(2)):
 
 
 @pytest.mark.parametrize("k", [4, 6, 8])
-def test_cli_limit_refuses_similar_jordan_block(tmp_path, k):
-    # rounding splits the Jordan eigenvalue into levels with sep ~ eps ||A||:
-    # a recorded refusal, not a wrong K with exit 0
-    code, rec = _cli_limit(tmp_path, _similar_jordan(k))
+@pytest.mark.parametrize("command", ["decompose", "limit"])
+def test_cli_refuses_similar_jordan_block(tmp_path, command, k):
+    # rounding splits the Jordan eigenvalue into clusters with sep ~ eps ||A||:
+    # a recorded refusal, not idempotents of norm 1e11 or a wrong K
+    code, rec = _cli_run(tmp_path, similar_jordan(k), command)
     assert code == 1
     assert [e["type"] for e in rec["errors"]] == ["IllConditioned"]
 
@@ -153,19 +148,19 @@ def test_cli_limit_refuses_similar_jordan_block(tmp_path, k):
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])
 def test_cli_limit_passes_dt_like(tmp_path, seed):
     # nearly equal moduli with idempotent norms up to 1e9: F_j stays nested
-    code, rec = _cli_limit(tmp_path, _dt_like(seed, 32))
+    code, rec = _cli_run(tmp_path, _dt_like(seed, 32))
     assert code == 0, rec["checks"]
 
 
 def test_cli_limit_dt_like_matches_flag_estimate(tmp_path):
     a = _dt_like(2, 32)
-    _, rec = _cli_limit(tmp_path, a)
+    _, rec = _cli_run(tmp_path, a)
     k = np.array([[complex(re, im) for re, im in row] for row in rec["results"]["limit_matrix"]])
     assert linalg.norm2(k - normalized_power(a, 4096)) <= 1e-3
 
 
 def test_cli_limit_refuses_dt_like_64(tmp_path):
-    code, rec = _cli_limit(tmp_path, _dt_like(0, 64))
+    code, rec = _cli_run(tmp_path, _dt_like(0, 64))
     assert code == 1
     assert [e["type"] for e in rec["errors"]] == ["IllConditioned"]
 

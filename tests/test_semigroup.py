@@ -120,3 +120,6 @@ def test_exp_growth_estimate_rejects_bad_input():
         semigroup.exp_growth_estimate(np.eye(2), [1, 0], 0.0)
     with pytest.raises(InvalidInput):
         semigroup.exp_growth_estimate(np.eye(2), [0, 0], 1.0)
+    # t ||A|| = 200 * 1.2e200 would take 5e202 propagator steps: refused at once
+    with pytest.raises(InvalidInput, match="propagator steps"):
+        semigroup.exp_growth_estimate(1e200 * np.array([[1.0, 1.0], [0.0, 0.5]]), [1, 0], 200.0)
