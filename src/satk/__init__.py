@@ -16,19 +16,11 @@ from .errors import (
     UsageError,
 )
 from .instances import Instance, InstanceSpec, generate_instance
-from .linalg import (
-    abs_op,
-    loewner_leq,
-    psd_power,
-    range_projection,
-    spectral_radius,
-    weighted_psd_sum_root,
-)
-from .mmio import matrix_to_json, parse_matrix
+from .linalg import range_projection
+from .mmio import parse_matrix
 from .powerit import (
     ConvergenceReport,
     ScaledPower,
-    brute_force_power,
     convergence_study,
     normalized_power,
     scaled_power,
@@ -62,7 +54,6 @@ from .shifts import (
     geometric_mean_table,
     harmonic,
     shift_power_crosscheck,
-    truncate_backward,
     truncate_forward,
     uniform_limit_detector,
 )

@@ -148,9 +148,3 @@ def parse_matrix(source) -> np.ndarray:
         raise InvalidInput(f"matrix is {mat.shape[0]}x{mat.shape[1]}, expected square")
     return linalg.as_matrix(mat)
 
-
-def matrix_to_json(a) -> dict:
-    """Inverse of the JSON schema: row-major [re, im] pairs."""
-    a = linalg.as_matrix(a)
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"dim": int(a.shape[0]), "entries": entries}

@@ -46,13 +46,6 @@ class ScaledPower:
     log_scale: float
     is_zero: bool = False
 
-    def to_matrix(self) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros_like(self.unit)
-        if self.log_scale > 700.0:
-            raise OverflowError("scaled power exceeds float range")
-        return np.exp(self.log_scale) * self.unit
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -95,21 +88,6 @@ def scaled_power(a, n: int) -> ScaledPower:
     if acc is None:
         return ScaledPower(unit=np.zeros_like(a), log_scale=0.0, is_zero=True)
     return ScaledPower(unit=acc[0], log_scale=float(acc[1]))
-
-
-def brute_force_power(a, n: int) -> np.ndarray:
-    """Plain repeated multiplication, the independent oracle for small n."""
-    a = linalg.as_matrix(a)
-    n = _positive_int(n)
-    if n > 64:
-        raise InvalidInput("brute force is limited to n <= 64")
-    out = a.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n - 1):
-            out = out @ a
-            if not np.all(np.isfinite(out.view(np.float64))):
-                raise OverflowError(f"entries overflowed at power {n}")
-    return out
 
 
 # --- QR-accumulation flag runs ------------------------------------------------
@@ -202,61 +180,50 @@ def _right_flag(a, ns):
     return _flag_run(a.conj().T.tobytes(), a.shape[0], ns)
 
 
-def _use_exact_path(sp: ScaledPower, n: int) -> bool:
-    if n <= _EXACT_N_MAX:
-        return True
-    s = np.linalg.svd(sp.unit, compute_uv=False)
-    return s[-1] >= _EXACT_SPREAD_FLOOR * s[0]
+def _power_roots(a, ns):
+    """(V, roots) with |A^n|^(1/n) = V diag(roots) V* for each n in the
+    strictly increasing tuple ns; roots are s_j(A^n)^(1/n).
+
+    The one choice of path: while n <= _EXACT_N_MAX or the singular spread of
+    the scaled power stays above _EXACT_SPREAD_FLOOR, the SVD of that single
+    matrix is exact.  Past it the roots are the tail-window rates of one flag
+    run on A* to the largest such n, which drop the alignment transient of the
+    first few hundred steps.
+    """
+    m = a.shape[0]
+    out = {}
+    for n in ns:
+        sp = scaled_power(a, n)
+        if sp.is_zero:
+            out[n] = np.eye(m, dtype=np.complex128), np.zeros(m)
+            continue
+        _, s, vh = np.linalg.svd(sp.unit)
+        if n <= _EXACT_N_MAX or s[-1] >= _EXACT_SPREAD_FLOOR * s[0]:
+            out[n] = vh.conj().T, np.exp(sp.log_scale / n) * s ** (1.0 / n)
+    flag_ns = tuple(n for n in ns if n not in out)
+    if flag_ns:
+        out.update(zip(flag_ns, _right_flag(a, flag_ns)))
+    return [out[n] for n in ns]
 
 
-def _exact_power(a, n: int):
-    """|A^n|^(1/n) from the single scaled matrix, or None where the spread of
-    A^n calls for a flag run."""
-    sp = scaled_power(a, n)
-    if sp.is_zero:
-        return np.zeros_like(a)
-    if not _use_exact_path(sp, n):
-        return None
-    u, s, vh = np.linalg.svd(sp.unit)
-    roots = np.exp(sp.log_scale / n) * s ** (1.0 / n)
-    out = vh.conj().T @ (roots[:, None] * vh)
-    return 0.5 * (out + out.conj().T)
-
-
-def _flag_power(q, roots):
-    """Asymptotic regime: |A^n|^(1/n) rebuilt from the converged flag with
-    tail-window rates, which drop the alignment transient of the first few
-    hundred steps."""
-    out = (q * roots) @ q.conj().T
+def _rebuild(v, roots):
+    """V diag(roots) V*, made exactly hermitian."""
+    out = (v * roots) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
 
 def normalized_power(a, n: int) -> np.ndarray:
     """|A^n|^(1/n) as a PSD matrix."""
     a = linalg.as_matrix(a)
-    n = _positive_int(n)
-    out = _exact_power(a, n)
-    if out is None:
-        (q, roots), = _right_flag(a, (n,))
-        out = _flag_power(q, roots)
-    return out
+    (v, roots), = _power_roots(a, (_positive_int(n),))
+    return _rebuild(v, roots)
 
 
 def yamamoto_limits(a, n: int) -> np.ndarray:
     """(s_1(A^n)^(1/n), ..., s_m(A^n)^(1/n)), descending; zero singulars map to 0."""
     a = linalg.as_matrix(a)
-    n = _positive_int(n)
-    sp = scaled_power(a, n)
-    if sp.is_zero:
-        return np.zeros(a.shape[0])
-    if _use_exact_path(sp, n):
-        s = np.linalg.svd(sp.unit, compute_uv=False)
-        vals = np.exp(sp.log_scale / n) * s ** (1.0 / n)
-        vals[s == 0.0] = 0.0
-    else:
-        (_, levels), = _right_flag(a, (n,))
-        vals = np.sort(levels)[::-1]
-    return vals
+    (_, roots), = _power_roots(a, (_positive_int(n),))
+    return np.sort(roots)[::-1]
 
 
 def orbit_log_norms(a, v, n: int) -> np.ndarray:
@@ -308,20 +275,17 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
 def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     """Errors ||A^n|^(1/n) - K|| over a schedule, with a log-error tail slope.
 
-    Each n takes the path ``normalized_power`` takes; the n on the flag path
-    are all read from one flag run to the largest of them.
+    One ``_power_roots`` call over the whole schedule: each n takes the path
+    ``normalized_power`` takes, and the n on the flag path are all read from
+    one flag run to the largest of them.
     """
     a = linalg.as_matrix(a)
     schedule = [int(n) for n in schedule]
     if not schedule or schedule[0] < 1 or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
     k = np.asarray(limit_matrix, dtype=np.complex128)
-    powers = {n: _exact_power(a, n) for n in schedule}
-    flag_ns = tuple(n for n in schedule if powers[n] is None)
-    if flag_ns:
-        for n, (q, roots) in zip(flag_ns, _right_flag(a, flag_ns)):
-            powers[n] = _flag_power(q, roots)
-    errors = [float(linalg.norm2(powers[n] - k)) for n in schedule]
+    powers = _power_roots(a, tuple(schedule))
+    errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
     tail = max(2, len(schedule) // 2)
     ns = np.array(schedule[-tail:], dtype=float)
     logs = np.log(np.maximum(errors[-tail:], 1e-300))

@@ -111,11 +111,3 @@ def write_error_csv(path, rows):
             log_err = math.log(err) if err > 0.0 else -math.inf
             writer.writerow([int(n), repr(err), repr(log_err)])
 
-
-def read_error_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["n", "error", "log_error"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return [(int(n), float(err), float(log_err)) for n, err, log_err in reader]

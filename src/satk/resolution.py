@@ -108,7 +108,15 @@ def limit_operator(res: LevelResolution) -> LimitOperator:
 
 
 def semigroup_limit(res: LevelResolution) -> LimitOperator:
-    """Closed form of lim |exp(tA)|^(1/t): sum_j exp(b_j) (G_j - G_{j-1})."""
+    """Closed form of lim |exp(tA)|^(1/t): sum_j exp(b_j) (G_j - G_{j-1}).
+
+    Refused when twice exp(b) of the top level, which the symmetrization of
+    the weighted sum forms, leaves float range: that limit cannot be computed.
+    """
+    with np.errstate(over="ignore"):
+        top = 2.0 * np.exp(res.levels[-1])
+    if not np.isfinite(top):
+        raise InvalidInput(f"exp of the top real part {res.levels[-1]:.6g} leaves float range")
     return _weighted_sum(res, np.exp)
 
 

@@ -166,16 +166,6 @@ def truncate_forward(w: WeightSequence, m: int) -> np.ndarray:
     return out
 
 
-def truncate_backward(w: WeightSequence, m: int) -> np.ndarray:
-    """m x m truncation of the backward shift: w_k at cell (k-1, k), 1-indexed."""
-    if m < 2:
-        raise InvalidInput("truncation dimension must be at least 2")
-    mags = w.weights(m)
-    out = np.zeros((m, m), dtype=np.complex128)
-    out[np.arange(m - 1), np.arange(1, m)] = mags[1:]
-    return out
-
-
 def backward_classifier(w: WeightSequence) -> bool:
     """Whether the backward shift's normalized power sequence converges (iff w_n -> 0).
 

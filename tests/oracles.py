@@ -1,0 +1,168 @@
+"""Independent oracles the tests compare satk against.
+
+Dense operator-inequality tools (the Loewner lemmas of the paper's proof are
+checked with them), literal matrix powers, the range-projection form of the
+limit, and the inverses of satk's writers.  None of them is on a computing
+path of satk, so they live here and not in ``src/``.
+"""
+
+import csv
+
+import numpy as np
+
+from satk import linalg
+from satk.errors import InvalidInput
+
+# PSD_TOL is the relative slack allowed for roundoff negativity; HERM_TOL
+# bounds the skew part accepted by hermitian routines.
+PSD_TOL = 1e-10
+HERM_TOL = 1e-10
+
+
+def as_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
+    """Validate hermitianness (relative max-norm) and return the symmetrized matrix."""
+    m = linalg.as_matrix(a)
+    scale = max(1.0, np.abs(m).max())
+    if np.abs(m - m.conj().T).max() > tol * scale:
+        raise InvalidInput("matrix is not hermitian within tolerance")
+    return 0.5 * (m + m.conj().T)
+
+
+def abs_op(t) -> np.ndarray:
+    """The operator absolute value |T| = (T*T)^(1/2), via the SVD of T."""
+    t = linalg.as_matrix(t)
+    u, s, vh = np.linalg.svd(t)
+    return vh.conj().T @ (s[:, None] * vh)
+
+
+def psd_power(h, p: float, rank_tol: float | None = None) -> np.ndarray:
+    """Eigenvalue power H^p of a PSD matrix, with 0^p := 0.
+
+    Eigenvalues below ``rank_tol * lambda_max`` are treated as exact zeros so
+    fractional powers do not resurrect numerical noise.
+    """
+    if p <= 0:
+        raise InvalidInput(f"exponent must be positive, got {p}")
+    h = as_hermitian(h)
+    w, v = np.linalg.eigh(h)
+    cut = (rank_tol if rank_tol is not None else linalg.default_rank_tol(h.shape[0])) * max(
+        w[-1], 0.0
+    )
+    w = np.where(w > cut, w, 0.0)
+    pw = np.zeros_like(w)
+    np.power(w, p, out=pw, where=w > 0)
+    return (v * pw) @ v.conj().T
+
+
+def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
+    """Whether A <= B in the Loewner order, up to ``tol`` on the smallest eigenvalue."""
+    a = as_hermitian(a)
+    b = as_hermitian(b)
+    if a.shape != b.shape:
+        raise InvalidInput(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.eigvalsh(b - a)[0]) >= -tol
+
+
+def weighted_psd_sum_root(terms, n: int) -> np.ndarray:
+    """(sum_i a_i^n H_i)^(1/n) for strictly increasing weights a_1 < ... < a_k >= 0.
+
+    The top weight is factored out before summation so a_i^n never leaves the
+    float range; the surviving ratios (a_i/a_k)^n underflow harmlessly to 0.
+    """
+    if n < 1 or int(n) != n:
+        raise InvalidInput(f"n must be a positive integer, got {n}")
+    weights = [float(a) for a, _ in terms]
+    if not terms:
+        raise InvalidInput("need at least one (weight, matrix) term")
+    if any(a < 0 for a in weights):
+        raise InvalidInput("weights must be non-negative")
+    if any(b <= a for a, b in zip(weights, weights[1:])):
+        raise InvalidInput("weights must be strictly increasing")
+    mats = [as_hermitian(h) for _, h in terms]
+    dim = mats[0].shape[0]
+    if any(h.shape[0] != dim for h in mats):
+        raise InvalidInput("all matrices must share one dimension")
+    top = weights[-1]
+    if top == 0.0:
+        return np.zeros((dim, dim), dtype=np.complex128)
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for a, h in zip(weights, mats):
+        ratio = a / top
+        if ratio > 0.0:
+            with np.errstate(under="ignore"):
+                acc += ratio**n * h
+    return top * psd_power(acc, 1.0 / n)
+
+
+def spectral_radius(a) -> float:
+    """Largest eigenvalue modulus."""
+    a = linalg.as_matrix(a)
+    return float(np.abs(np.linalg.eigvals(a)).max())
+
+
+def brute_force_power(a, n: int) -> np.ndarray:
+    """Plain repeated multiplication, the independent oracle for small n."""
+    a = linalg.as_matrix(a)
+    if n < 1 or int(n) != n:
+        raise InvalidInput(f"n must be a positive integer, got {n}")
+    if n > 64:
+        raise InvalidInput("brute force is limited to n <= 64")
+    out = a.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(n) - 1):
+            out = out @ a
+            if not np.all(np.isfinite(out.view(np.float64))):
+                raise OverflowError(f"entries overflowed at power {n}")
+    return out
+
+
+def scaled_matrix(sp) -> np.ndarray:
+    """The matrix exp(log_scale) * unit that a ``ScaledPower`` stands for."""
+    if sp.is_zero:
+        return np.zeros_like(sp.unit)
+    return np.exp(sp.log_scale) * sp.unit
+
+
+def truncate_backward(w, m: int) -> np.ndarray:
+    """m x m truncation of the backward shift: w_k at cell (k-1, k), 1-indexed."""
+    if m < 2:
+        raise InvalidInput("truncation dimension must be at least 2")
+    mags = w.weights(m)
+    out = np.zeros((m, m), dtype=np.complex128)
+    out[np.arange(m - 1), np.arange(1, m)] = mags[1:]
+    return out
+
+
+def range_oracle(dec, key, weight):
+    """sum_j w(a_j) (R(e_j) - R(e_{j-1})), with R(e_j) the range projection
+    of the certified idempotent sum over the levels <= a_j."""
+    keys = np.array([key(p.cluster.representative) for p in dec.idempotents])
+    ordered = np.sort(keys)
+    tops = [*ordered[:-1][np.diff(ordered) > 1e-9], ordered[-1]]
+    m = dec.dim
+    out = np.zeros((m, m), dtype=complex)
+    prev = np.zeros((m, m), dtype=complex)
+    below = -np.inf
+    for top in tops:
+        level = float(np.mean(keys[(keys > below) & (keys <= top)]))
+        f = linalg.range_projection(sum(p.matrix for p, v in zip(dec.idempotents, keys) if v <= top))
+        out += weight(level) * (f - prev)
+        prev, below = f, top
+    return out
+
+
+def read_error_csv(path):
+    """Rows (n, error, log_error) of a file written by ``records.write_error_csv``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["n", "error", "log_error"]:
+            raise ValueError(f"unexpected CSV header {header!r}")
+        return [(int(n), float(err), float(log_err)) for n, err, log_err in reader]
+
+
+def matrix_to_json(a) -> dict:
+    """Inverse of the JSON schema of ``mmio.parse_matrix``: row-major [re, im] pairs."""
+    a = linalg.as_matrix(a)
+    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    return {"dim": int(a.shape[0]), "entries": entries}

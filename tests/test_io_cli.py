@@ -9,11 +9,12 @@ import satk
 from satk import linalg
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
-from satk.mmio import matrix_to_json, parse_matrix
+from satk.mmio import parse_matrix
 from satk.powerit import normalized_power
-from satk.records import ARTIFACT_VERSION, RunConfig, read_error_csv, write_error_csv
+from satk.records import ARTIFACT_VERSION, RunConfig, write_error_csv
 
 from conftest import similar_jordan
+from oracles import matrix_to_json, read_error_csv
 
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
 
@@ -143,6 +144,14 @@ def test_cli_refuses_similar_jordan_block(tmp_path, command, k):
     code, rec = _cli_run(tmp_path, similar_jordan(k), command)
     assert code == 1
     assert [e["type"] for e in rec["errors"]] == ["IllConditioned"]
+
+
+def test_cli_semigroup_records_overflowing_limit(tmp_path):
+    # exp(1e4) leaves float range: a recorded refusal, not a NaN limit
+    code, rec = _cli_run(tmp_path, 1e4 * np.array([[1.0, 1.0], [0.0, 0.5]]), "semigroup")
+    assert code == 1
+    assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "semigroup")]
+    assert "float range" in rec["errors"][0]["message"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])

@@ -8,6 +8,7 @@ from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
 from conftest import random_complex, random_invertible
+from oracles import abs_op, brute_force_power, loewner_leq, psd_power, scaled_matrix
 
 FIXTURE = np.array([[1, 1], [0, 2]], dtype=complex)
 
@@ -17,7 +18,7 @@ def test_scaled_power_matches_brute_force(rng):
         a = random_complex(rng, (4, 4), scale=0.8)
         for n in (1, 2, 3, 7, 16, 33):
             sp = powerit.scaled_power(a, n)
-            assert linalg.norm2(sp.to_matrix() - powerit.brute_force_power(a, n)) < 1e-10 * np.exp(
+            assert linalg.norm2(scaled_matrix(sp) - brute_force_power(a, n)) < 1e-10 * np.exp(
                 sp.log_scale
             )
 
@@ -25,7 +26,7 @@ def test_scaled_power_matches_brute_force(rng):
 def test_scaled_power_zero_matrix():
     sp = powerit.scaled_power(np.zeros((3, 3)), 5)
     assert sp.is_zero
-    assert linalg.norm2(sp.to_matrix()) == 0.0
+    assert linalg.norm2(scaled_matrix(sp)) == 0.0
 
 
 def test_scaled_power_nilpotent_dies():
@@ -37,15 +38,13 @@ def test_scaled_power_nilpotent_dies():
 def test_scaled_power_extreme_exponent_no_overflow():
     sp = powerit.scaled_power(3.0 * np.eye(2), 4096)
     assert sp.log_scale == pytest.approx(4096 * np.log(3.0), rel=1e-12)
-    with pytest.raises(OverflowError):
-        sp.to_matrix()
 
 
 def test_brute_force_power_guards():
     with pytest.raises(InvalidInput):
-        powerit.brute_force_power(np.eye(2), 65)
+        brute_force_power(np.eye(2), 65)
     with pytest.raises(OverflowError):
-        powerit.brute_force_power(1e200 * np.eye(2), 3)
+        brute_force_power(1e200 * np.eye(2), 3)
 
 
 def test_normalized_power_small_n_literal(rng):
@@ -53,7 +52,7 @@ def test_normalized_power_small_n_literal(rng):
     for _ in range(5):
         a = random_complex(rng, (4, 4))
         for n in (1, 2, 5, 12):
-            lit = linalg.psd_power(linalg.abs_op(powerit.brute_force_power(a, n)), 1.0 / n)
+            lit = psd_power(abs_op(brute_force_power(a, n)), 1.0 / n)
             assert linalg.norm2(powerit.normalized_power(a, n) - lit) < 1e-7
 
 
@@ -189,12 +188,12 @@ def test_blocked_flag_matches_unblocked(monkeypatch, a):
     n = 4096
     b = a.conj().T
     assert powerit._block_power(b)[0] > 1
-    blocked = powerit._flag_power(*powerit._right_flag(a, (n,))[0])
+    blocked = powerit._rebuild(*powerit._right_flag(a, (n,))[0])
     # the unblocked run: the kernel at k = 1, which is the k = 1 reference
     # loop bit for bit (test_flag_run_matches_numpy_qr_reference)
     monkeypatch.setattr(powerit, "_block_power", lambda x: (1, x))
     (q, roots), = powerit._flag_run.__wrapped__(b.tobytes(), b.shape[0], (n,))
-    assert linalg.norm2(blocked - powerit._flag_power(q, roots)) <= 1e-10
+    assert linalg.norm2(blocked - powerit._rebuild(q, roots)) <= 1e-10
 
 
 @pytest.mark.parametrize("c, k", [(1e200, 1), (1e-200, 1), (1e-40, 4)])
@@ -234,7 +233,7 @@ def test_yamamoto_fixture():
 def test_yamamoto_small_n_matches_svd(rng):
     a = random_complex(rng, (4, 4))
     n = 10
-    s = np.linalg.svd(powerit.brute_force_power(a, n), compute_uv=False)
+    s = np.linalg.svd(brute_force_power(a, n), compute_uv=False)
     assert powerit.yamamoto_limits(a, n) == pytest.approx(s ** (1.0 / n), rel=1e-10)
 
 
@@ -258,7 +257,7 @@ def test_vector_exponent_small_n_is_literal(rng):
     x = random_complex(rng, 3)
     n = 20
     # the estimator normalizes x first, so the literal oracle does too
-    lit = (np.linalg.norm(powerit.brute_force_power(a, n) @ x) / np.linalg.norm(x)) ** (1.0 / n)
+    lit = (np.linalg.norm(brute_force_power(a, n) @ x) / np.linalg.norm(x)) ** (1.0 / n)
     assert powerit.vector_exponent_estimates(a, x, n)[0] == pytest.approx(lit, rel=1e-10)
 
 
@@ -291,12 +290,41 @@ def test_convergence_study_errors_match_normalized_power(seed):
     else:
         a = generate_instance(seed, InstanceSpec(dim=4)).matrix
     schedule = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-    on_flag = [powerit._exact_power(a, n) is None for n in schedule]
-    assert any(on_flag) and not all(on_flag)
     k = limit_operator(modulus_resolution(dunford(a))).matrix
+    powerit._flag_run.cache_clear()
     report = powerit.convergence_study(a, schedule, k)
+    assert powerit._flag_run.cache_info().misses == 1  # one run for all flag-path n
     per_n = [float(linalg.norm2(powerit.normalized_power(a, n) - k)) for n in schedule]
+    # each flag-path n now starts a run of its own; the exact-path n start none
+    on_flag = powerit._flag_run.cache_info().misses - 1
+    assert 0 < on_flag < len(schedule)
     assert np.array(report.errors).tobytes() == np.array(per_n).tobytes()
+
+
+def _one_spectrum_cases():
+    rng = np.random.default_rng(31)
+    for n in (1, 12, 64):
+        yield pytest.param(random_complex(rng, (4, 4)), n, False, id=f"exact-{n}")
+    inst = generate_instance(20003, InstanceSpec(dim=5))
+    yield pytest.param(inst.matrix, 4096, True, id="flag-4096")
+    for name, a in (
+        ("diag-1-0", np.diag([1.0, 0.0])),
+        ("nilpotent", np.eye(3, k=1)),
+        ("zero", np.zeros((3, 3))),
+    ):
+        for n in (1, 12, 4096):
+            yield pytest.param(a.astype(complex), n, None, id=f"{name}-{n}")
+
+
+@pytest.mark.parametrize("a, n, on_flag", list(_one_spectrum_cases()))
+def test_normalized_power_spectrum_is_yamamoto_limits(a, n, on_flag):
+    # one read-out gives both: the eigenvalues of |A^n|^(1/n) are s_j(A^n)^(1/n)
+    powerit._flag_run.cache_clear()
+    eigs = np.sort(np.linalg.eigvalsh(powerit.normalized_power(a, n)))[::-1]
+    if on_flag is not None:
+        assert (powerit._flag_run.cache_info().misses == 1) == on_flag
+    limits = powerit.yamamoto_limits(a, n)
+    assert np.max(np.abs(eigs - limits)) <= 1e-12 * max(1.0, linalg.norm2(a))
 
 
 def test_convergence_study_rejects_bad_schedule():
@@ -314,14 +342,14 @@ def test_similarity_equivalence_matches_literal_small_n(rng):
         s = random_invertible(rng, 4)
         a = np.linalg.solve(s, t @ s)
         side1 = powerit.normalized_power(a, n)
-        literal = linalg.psd_power(linalg.abs_op(powerit.brute_force_power(a, n)), 1.0 / n)
+        literal = psd_power(abs_op(brute_force_power(a, n)), 1.0 / n)
         assert linalg.norm2(side1 - literal) < 1e-9
-        tn = powerit.brute_force_power(t, n)
-        side2 = linalg.psd_power(s.conj().T @ tn.conj().T @ tn @ s, 1.0 / (2 * n))
+        tn = brute_force_power(t, n)
+        side2 = psd_power(s.conj().T @ tn.conj().T @ tn @ s, 1.0 / (2 * n))
         lo = linalg.norm2(s) ** (-1.0 / n)
         hi = linalg.norm2(np.linalg.inv(s)) ** (1.0 / n)
-        assert linalg.loewner_leq(lo * side2, side1, 1e-9)
-        assert linalg.loewner_leq(side1, hi * side2, 1e-9)
+        assert loewner_leq(lo * side2, side1, 1e-9)
+        assert loewner_leq(side1, hi * side2, 1e-9)
 
 
 def test_similarity_equivalence_large_n_converges():

@@ -14,7 +14,7 @@ from satk.resolution import (
     vector_exponent_exact,
 )
 
-from conftest import range_oracle
+from oracles import range_oracle
 
 
 def test_cluster_values_groups_gaps():

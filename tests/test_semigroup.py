@@ -9,6 +9,7 @@ from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
 from conftest import random_complex
+from oracles import scaled_matrix
 
 GAPPED = InstanceSpec(dim=4, min_real_gap=0.2)
 
@@ -19,12 +20,12 @@ def test_matrix_exp_scaled_matches_expm(rng):
         for t in (0.3, 1.0, 7.5):
             sp = semigroup.matrix_exp_scaled(a, t)
             expected = scipy.linalg.expm(t * a)
-            assert linalg.norm2(sp.to_matrix() - expected) < 1e-10 * linalg.norm2(expected)
+            assert linalg.norm2(scaled_matrix(sp) - expected) < 1e-10 * linalg.norm2(expected)
 
 
 def test_matrix_exp_scaled_t_zero_is_identity():
     sp = semigroup.matrix_exp_scaled(np.diag([1.0, 2.0]), 0.0)
-    assert linalg.norm2(sp.to_matrix() - np.eye(2)) == 0.0
+    assert linalg.norm2(scaled_matrix(sp) - np.eye(2)) == 0.0
 
 
 def test_matrix_exp_scaled_large_t_stays_finite():
@@ -55,6 +56,15 @@ def test_semigroup_limit_spectrum_is_exp_of_real_parts():
         expected = np.sort(np.exp(np.real(np.array(inst.eigenvalues))))
         got = np.sort(np.linalg.eigvalsh(k.matrix))
         assert np.max(np.abs(got - expected)) < 1e-8
+
+
+@pytest.mark.parametrize("c", [1e4, 709.5])
+def test_semigroup_limit_refuses_overflow(c):
+    # exp(c) overflows at 1e4; at 709.5 it is finite but twice it is not.
+    # Any RuntimeWarning fails the test under the suite's filter.
+    res = semigroup.halfplane_resolution(dunford(np.array([[c, c], [0.0, 0.5 * c]])))
+    with pytest.raises(InvalidInput, match="leaves float range"):
+        semigroup.semigroup_limit(res)
 
 
 def test_semigroup_limit_is_discrete_limit_of_exp():

