@@ -22,8 +22,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def norm2(a) -> float:
-    """Spectral norm."""
-    return float(np.linalg.norm(np.asarray(a), 2))
+    """Spectral norm: the largest singular value, as ``np.linalg.norm(a, 2)`` computes it."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def default_rank_tol(m: int) -> float:

@@ -62,9 +62,18 @@ def _positive_int(n) -> int:
 
 def scaled_power(a, n: int) -> ScaledPower:
     """A^n by binary exponentiation, renormalized to unit spectral norm per multiply."""
-    a = linalg.as_matrix(a)
-    n = _positive_int(n)
-    m = a.shape[0]
+    return _scaled_powers(linalg.as_matrix(a), (_positive_int(n),))[0]
+
+
+def _scaled_powers(a, ns) -> list:
+    """A^n as a ``ScaledPower`` for each n in ns, from one squaring chain.
+
+    The chain base_0 = A/||A||, base_(i+1) = base_i @ base_i renormalized, is
+    built once, to the top bit of max(ns), and stops at the first zero entry.
+    Each n then multiplies the identity by the entries of its set bits, from
+    the least significant up, renormalizing after each multiply: the same
+    arithmetic for each n as powering it on its own.
+    """
 
     def normalized(x, log):
         s = linalg.norm2(x)
@@ -72,22 +81,25 @@ def scaled_power(a, n: int) -> ScaledPower:
             return None
         return x / s, log + np.log(s)
 
-    base = normalized(a, 0.0)
-    acc = (np.eye(m, dtype=np.complex128), 0.0)
-    while n:
-        if base is None:
-            acc = None
-            break
-        if n & 1:
-            acc = normalized(acc[0] @ base[0], acc[1] + base[1])
+    chain = [normalized(a, 0.0)]
+    while chain[-1] is not None and len(chain) < max(ns).bit_length():
+        base = chain[-1]
+        chain.append(normalized(base[0] @ base[0], 2.0 * base[1]))
+    out = []
+    for n in ns:
+        acc = (np.eye(a.shape[0], dtype=np.complex128), 0.0)
+        for i in range(n.bit_length()):
+            if chain[i] is None:
+                acc = None
+            elif n >> i & 1:
+                acc = normalized(acc[0] @ chain[i][0], acc[1] + chain[i][1])
             if acc is None:
                 break
-        n >>= 1
-        if n:
-            base = normalized(base[0] @ base[0], 2.0 * base[1])
-    if acc is None:
-        return ScaledPower(unit=np.zeros_like(a), log_scale=0.0, is_zero=True)
-    return ScaledPower(unit=acc[0], log_scale=float(acc[1]))
+        if acc is None:
+            out.append(ScaledPower(unit=np.zeros_like(a), log_scale=0.0, is_zero=True))
+        else:
+            out.append(ScaledPower(unit=acc[0], log_scale=float(acc[1])))
+    return out
 
 
 # --- QR-accumulation flag runs ------------------------------------------------
@@ -185,15 +197,14 @@ def _power_roots(a, ns):
     strictly increasing tuple ns; roots are s_j(A^n)^(1/n).
 
     The one choice of path: while n <= _EXACT_N_MAX or the singular spread of
-    the scaled power stays above _EXACT_SPREAD_FLOOR, the SVD of that single
-    matrix is exact.  Past it the roots are the tail-window rates of one flag
-    run on A* to the largest such n, which drop the alignment transient of the
-    first few hundred steps.
+    the scaled power (all n from one squaring chain) stays above
+    _EXACT_SPREAD_FLOOR, the SVD of that single matrix is exact.  Past it the
+    roots are the tail-window rates of one flag run on A* to the largest such
+    n, which drop the alignment transient of the first few hundred steps.
     """
     m = a.shape[0]
     out = {}
-    for n in ns:
-        sp = scaled_power(a, n)
+    for n, sp in zip(ns, _scaled_powers(a, ns)):
         if sp.is_zero:
             out[n] = np.eye(m, dtype=np.complex128), np.zeros(m)
             continue

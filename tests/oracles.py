@@ -1,9 +1,10 @@
 """Independent oracles the tests compare satk against.
 
 Dense operator-inequality tools (the Loewner lemmas of the paper's proof are
-checked with them), literal matrix powers, the range-projection form of the
-limit, and the inverses of satk's writers.  None of them is on a computing
-path of satk, so they live here and not in ``src/``.
+checked with them), literal matrix powers, binary powering of one n on its
+own, the range-projection form of the limit, and the inverses of satk's
+writers.  None of them is on a computing path of satk, so they live here and
+not in ``src/``.
 """
 
 import csv
@@ -12,6 +13,7 @@ import numpy as np
 
 from satk import linalg
 from satk.errors import InvalidInput
+from satk.powerit import ScaledPower
 
 # PSD_TOL is the relative slack allowed for roundoff negativity; HERM_TOL
 # bounds the skew part accepted by hermitian routines.
@@ -114,6 +116,37 @@ def brute_force_power(a, n: int) -> np.ndarray:
             if not np.all(np.isfinite(out.view(np.float64))):
                 raise OverflowError(f"entries overflowed at power {n}")
     return out
+
+
+def scaled_power_per_n(a, n: int):
+    """A^n by binary exponentiation from A itself, renormalized to unit spectral
+    norm per multiply: the powering of one n on its own, the byte-identity
+    reference for the shared squaring chain of ``powerit._scaled_powers``."""
+    a = linalg.as_matrix(a)
+    m = a.shape[0]
+
+    def normalized(x, log):
+        s = linalg.norm2(x)
+        if s == 0.0:
+            return None
+        return x / s, log + np.log(s)
+
+    base = normalized(a, 0.0)
+    acc = (np.eye(m, dtype=np.complex128), 0.0)
+    while n:
+        if base is None:
+            acc = None
+            break
+        if n & 1:
+            acc = normalized(acc[0] @ base[0], acc[1] + base[1])
+            if acc is None:
+                break
+        n >>= 1
+        if n:
+            base = normalized(base[0] @ base[0], 2.0 * base[1])
+    if acc is None:
+        return ScaledPower(unit=np.zeros_like(a), log_scale=0.0, is_zero=True)
+    return ScaledPower(unit=acc[0], log_scale=float(acc[1]))
 
 
 def scaled_matrix(sp) -> np.ndarray:

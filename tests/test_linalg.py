@@ -28,6 +28,14 @@ def test_as_matrix_rejects_non_finite():
         linalg.as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_norm2_is_numpy_spectral_norm(rng):
+    cases = [random_complex(rng, (m, m)) for m in (2, 5, 8)]
+    cases += [rng.standard_normal((4, 4)), rng.integers(-9, 9, size=(3, 3))]
+    cases += [np.zeros((3, 3), dtype=complex), np.array([[-2.5 + 1j]])]
+    for x in cases:
+        assert linalg.norm2(x) == float(np.linalg.norm(x, 2))
+
+
 def test_as_hermitian_rejects_skew(rng):
     b = random_complex(rng, (4, 4))
     with pytest.raises(InvalidInput):

@@ -8,9 +8,18 @@ from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
 from conftest import random_complex, random_invertible
-from oracles import abs_op, brute_force_power, loewner_leq, psd_power, scaled_matrix
+from oracles import (
+    abs_op,
+    brute_force_power,
+    loewner_leq,
+    psd_power,
+    scaled_matrix,
+    scaled_power_per_n,
+)
 
 FIXTURE = np.array([[1, 1], [0, 2]], dtype=complex)
+# the read-out of the benchmark's `schedule` workload
+SCHEDULE = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def test_scaled_power_matches_brute_force(rng):
@@ -38,6 +47,45 @@ def test_scaled_power_nilpotent_dies():
 def test_scaled_power_extreme_exponent_no_overflow():
     sp = powerit.scaled_power(3.0 * np.eye(2), 4096)
     assert sp.log_scale == pytest.approx(4096 * np.log(3.0), rel=1e-12)
+
+
+def _chain_inputs():
+    for i in range(0, 200, 25):  # members of the acceptance family, dims 2-8
+        inst = generate_instance(20000 + i, InstanceSpec(dim=2 + i % 7))
+        yield pytest.param(inst.matrix, id=f"seed-{inst.seed}")
+    tail = np.array([[1.0, 1.0], [0.0, 0.5]])
+    for name, a in (
+        ("zero", np.zeros((3, 3))),
+        ("nilpotent", np.eye(3, k=1)),
+        ("3I", 3.0 * np.eye(3)),
+        ("1e200", 1e200 * tail),
+        ("1e-200", 1e-200 * tail),
+    ):
+        yield pytest.param(a.astype(complex), id=name)
+
+
+@pytest.mark.parametrize("a", list(_chain_inputs()))
+def test_scaled_powers_match_per_n_powering(a):
+    # one squaring chain for a whole read-out gives each n the bytes of
+    # powering that n on its own
+    for ns in (SCHEDULE, (8, 16, 32, 64, 100, 200), (1,), (2, 3, 7, 33)):
+        for n, got in zip(ns, powerit._scaled_powers(a, ns), strict=True):
+            want = scaled_power_per_n(a, n)
+            assert got.unit.tobytes() == want.unit.tobytes()
+            assert got.log_scale == want.log_scale
+            assert got.is_zero == want.is_zero
+
+
+def test_power_roots_share_one_squaring_chain(monkeypatch):
+    # 13 chain entries A^(2^i), i = 0..12, and one product per n: 22 norms,
+    # where powering each n from A itself takes 90
+    a = generate_instance(20003, InstanceSpec(dim=5)).matrix
+    norm2, calls = linalg.norm2, []
+    monkeypatch.setattr(linalg, "norm2", lambda x: calls.append(1) or norm2(x))
+    powerit._flag_run.cache_clear()
+    powerit._power_roots(a, SCHEDULE)
+    assert len(calls) == 22
+    assert powerit._flag_run.cache_info().misses == 1  # the flag path ran
 
 
 def test_brute_force_power_guards():
@@ -294,8 +342,9 @@ def test_convergence_study_errors_match_normalized_power(seed):
     powerit._flag_run.cache_clear()
     report = powerit.convergence_study(a, schedule, k)
     assert powerit._flag_run.cache_info().misses == 1  # one run for all flag-path n
+    # each n here builds a squaring chain of its own, and each flag-path n
+    # starts a flag run of its own; the exact-path n start none
     per_n = [float(linalg.norm2(powerit.normalized_power(a, n) - k)) for n in schedule]
-    # each flag-path n now starts a run of its own; the exact-path n start none
     on_flag = powerit._flag_run.cache_info().misses - 1
     assert 0 < on_flag < len(schedule)
     assert np.array(report.errors).tobytes() == np.array(per_n).tobytes()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satk import shifts
 from satk.errors import InvalidInput
+from satk.powerit import orbit_log_norms
 
 from oracles import truncate_backward
 
@@ -89,6 +91,21 @@ def test_backward_classifier():
     assert not shifts.backward_classifier(shifts.blocks(2.0))
     assert shifts.backward_classifier(shifts.explicit([1.0] * 8 + [0.0] * 8))
     assert not shifts.backward_classifier(shifts.explicit([1.0] * 16))
+
+
+@pytest.mark.parametrize("m, n", [(256, 32), (400, 150)])
+@pytest.mark.parametrize(
+    "w",
+    [shifts.harmonic(), shifts.geometric(0.3), shifts.constant(1.3), shifts.blocks(2.0)],
+    ids=lambda w: w.kind,
+)
+def test_sparse_orbit_is_dense_orbit(w, m, n):
+    # the crosscheck iterates the sparse truncation; its logs are the dense
+    # orbit's bytes.  Columns evolve independently, so 16 of them suffice.
+    f = shifts.truncate_forward(w, m)
+    v = np.eye(m, dtype=np.complex128)[:, np.linspace(0, m - 1, 16).astype(int)]
+    sparse = orbit_log_norms(scipy.sparse.csr_array(f), v, n)
+    assert sparse.tobytes() == orbit_log_norms(f, v, n).tobytes()
 
 
 def test_crosscheck_guards():
