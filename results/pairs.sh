@@ -1,22 +1,23 @@
 #!/bin/sh
 # Alternating parent/change pairs of the benchmark, one pair per seed:
 #
-#   results/power-chain/pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED...
+#   results/pairs.sh RESULT_DIR PARENT_DIR CHANGE_DIR WORKLOAD SEED...
 #
 # PARENT_DIR and CHANGE_DIR are checkouts of the two commits (for example
 # `git archive <commit> | tar -x -C DIR`).  For each seed both run
 #   python3 bench/run.py --workload WORKLOAD --seed SEED --seconds 36 --trace 0
 # from their own root, the parent first on the 1st, 3rd, ... seed and the
-# change first on the others.  Each report is copied into parent/ or change/
-# next to this script; `python3 table.py` there prints the medians.
+# change first on the others.  Each report is copied into RESULT_DIR/parent/
+# or RESULT_DIR/change/; `python3 results/table.py RESULT_DIR` prints the
+# medians.
 set -eu
-[ $# -ge 4 ] || { sed -n '2,11p' "$0"; exit 2; }
-here=$(cd "$(dirname "$0")" && pwd)
-parent=$(cd "$1" && pwd)
-change=$(cd "$2" && pwd)
-workload=$3
-shift 3
-mkdir -p "$here/parent" "$here/change"
+[ $# -ge 5 ] || { sed -n '2,12p' "$0"; exit 2; }
+mkdir -p "$1/parent" "$1/change"
+here=$(cd "$1" && pwd)
+parent=$(cd "$2" && pwd)
+change=$(cd "$3" && pwd)
+workload=$4
+shift 4
 
 run() {  # run SIDE DIR SEED
     (cd "$2" && python3 bench/run.py --workload "$workload" --seed "$3" --seconds 36 --trace 0 >/dev/null)

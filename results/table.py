@@ -1,6 +1,6 @@
-"""Markdown table of the parent/change pairs in parent/ and change/ next to this file.
+"""Markdown table of the parent/change pairs in RESULT_DIR/parent and RESULT_DIR/change.
 
-    python3 results/power-chain/table.py
+    python3 results/table.py RESULT_DIR
 
 One row per workload and end-to-end metric: each side's median with its
 quartiles, the change's median over the parent's, and the pairs (same
@@ -9,17 +9,17 @@ workload and seed) in which the change reads better.
 
 import json
 import statistics
+import sys
 from collections import defaultdict
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
 BETTER_HIGHER = {"items_per_s"}
 METRICS = ("items_per_s", "item_p50_ms", "item_p90_ms", "setup_s", "peak_rss_mb")
 
 
-def load(side):
+def load(side_dir):
     runs = defaultdict(dict)  # workload -> seed -> report
-    for path in sorted((HERE / side).glob("BENCH_*_trace0.json")):
+    for path in sorted(side_dir.glob("BENCH_*_trace0.json")):
         report = json.loads(path.read_text())
         runs[report["env"]["workload"]][report["env"]["seed"]] = report["result"]
     return runs
@@ -30,8 +30,8 @@ def quartiles(values):
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def main():
-    parent, change = load("parent"), load("change")
+def main(result_dir):
+    parent, change = load(result_dir / "parent"), load(result_dir / "change")
     print("| workload | seeds | metric | parent | change | change / parent | pairs won by the change |")
     print("|" + " --- |" * 7)
     failures = []
@@ -59,4 +59,6 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(Path(sys.argv[1]))

@@ -14,6 +14,7 @@ needs ``--seed``), and an ``--input`` that names no file are usage errors
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -287,6 +288,7 @@ def run_command(config: RunConfig) -> RunRecord:
     return record
 
 
+@functools.cache  # one parser per process: argparse keeps no state between parses
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="satk", description="Spectral asymptotics toolkit for finite matrices."

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import linalg
 from .errors import InvalidInput
@@ -104,20 +104,32 @@ def _scaled_powers(a, ns) -> list:
 
 # --- QR-accumulation flag runs ------------------------------------------------
 
-def _flag_step(a, q, logs):
-    """a @ q = q' r by LAPACK Householder QR; returns q' and logs + log|r_jj|.
+def _flag_steps(a, q, logs, count):
+    """count steps a @ q = q' r by LAPACK Householder QR; returns the last q'
+    and logs plus the sum of every step's log|r_jj|.
 
-    Callers run their loop under ``np.errstate(divide="ignore")``: a singular
-    step gives log 0 = -inf.
+    The product is numpy's ``a @ q`` bit for bit: numpy forms a row-major
+    product as zgemm on the transposes, here ``zgemm(q, a.T, trans_a=1)``
+    on the F-contiguous view a.T, without matmul's dispatch.  At m = 1 numpy
+    takes its dot path instead, so that case keeps ``a @ q``.  The r
+    diagonals are kept, (count, m) complex, and summed after the loop in
+    step order, the sums a running ``logs + log|r_jj|`` makes.  Callers run
+    under ``np.errstate(divide="ignore")``: a singular step gives
+    log 0 = -inf.
     """
-    qr, tau, _, info = lapack.zgeqrf(a @ q, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgeqrf failed with info={info}")
-    logs = logs + np.log(np.abs(qr.diagonal()))
-    q, _, info = lapack.zungqr(qr, tau, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zungqr failed with info={info}")
-    return q, logs
+    at = a.T
+    diagonals = np.empty((count, q.shape[0]), dtype=np.complex128)
+    for i in range(count):
+        aq = a @ q if q.shape[0] == 1 else blas.zgemm(1.0, q, at, trans_a=1).T
+        qr, tau, _, info = lapack.zgeqrf(aq, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgeqrf failed with info={info}")
+        diagonals[i] = qr.diagonal()
+        q, _, info = lapack.zungqr(qr, tau, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zungqr failed with info={info}")
+    steps = np.log(np.abs(diagonals))
+    return q, np.add.accumulate(np.vstack((logs, steps)), axis=0)[-1]
 
 
 def _block_power(a):
@@ -164,12 +176,9 @@ def _flag_run(key: bytes, m: int, ns: tuple):
     with np.errstate(divide="ignore"):
         for p in points:
             blocks = (p - done) // k
-            for _ in range(blocks):
-                q, logs = _flag_step(ak, q, logs)
+            q, logs = _flag_steps(ak, q, logs, blocks)
             done += blocks * k
-            at[p] = q, logs
-            for _ in range(p - done):
-                at[p] = _flag_step(a, *at[p])
+            at[p] = _flag_steps(a, q, logs, p - done)
     out = []
     for n in ns:
         q, logs = at[n]

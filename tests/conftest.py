@@ -54,3 +54,13 @@ def orthogonal_partition(rng, m, k):
         for a, b in zip(bounds, bounds[1:])
     ]
 
+
+def dt_like(seed, m, s=1 / np.sqrt(2)):
+    """Q T Q*: T with eigenvalues uniform in the unit disc and a strictly upper
+    complex Gaussian part scaled by s, Q a random unitary."""
+    rng = np.random.default_rng(seed)
+    eigs = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+    g = rng.standard_normal((2, m, m))
+    t = np.diag(eigs) + s * np.triu(g[0] + 1j * g[1], 1) / np.sqrt(2)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q @ t @ q.conj().T

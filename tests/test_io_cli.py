@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from satk.mmio import parse_matrix
 from satk.powerit import normalized_power
 from satk.records import ARTIFACT_VERSION, RunConfig, write_error_csv
 
-from conftest import similar_jordan
+from conftest import dt_like, similar_jordan
 from oracles import matrix_to_json, read_error_csv
 
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
@@ -125,17 +128,6 @@ def _cli_run(tmp_path, a, command="limit"):
     return code, json.loads(out.read_text())
 
 
-def _dt_like(seed, m, s=1 / np.sqrt(2)):
-    """Q T Q*: T with eigenvalues uniform in the unit disc and a strictly upper
-    complex Gaussian part scaled by s, Q a random unitary."""
-    rng = np.random.default_rng(seed)
-    eigs = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
-    g = rng.standard_normal((2, m, m))
-    t = np.diag(eigs) + s * np.triu(g[0] + 1j * g[1], 1) / np.sqrt(2)
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    return q @ t @ q.conj().T
-
-
 @pytest.mark.parametrize("k", [4, 6, 8])
 @pytest.mark.parametrize("command", ["decompose", "limit"])
 def test_cli_refuses_similar_jordan_block(tmp_path, command, k):
@@ -157,19 +149,19 @@ def test_cli_semigroup_records_overflowing_limit(tmp_path):
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])
 def test_cli_limit_passes_dt_like(tmp_path, seed):
     # nearly equal moduli with idempotent norms up to 1e9: F_j stays nested
-    code, rec = _cli_run(tmp_path, _dt_like(seed, 32))
+    code, rec = _cli_run(tmp_path, dt_like(seed, 32))
     assert code == 0, rec["checks"]
 
 
 def test_cli_limit_dt_like_matches_flag_estimate(tmp_path):
-    a = _dt_like(2, 32)
+    a = dt_like(2, 32)
     _, rec = _cli_run(tmp_path, a)
     k = np.array([[complex(re, im) for re, im in row] for row in rec["results"]["limit_matrix"]])
     assert linalg.norm2(k - normalized_power(a, 4096)) <= 1e-3
 
 
 def test_cli_limit_refuses_dt_like_64(tmp_path):
-    code, rec = _cli_run(tmp_path, _dt_like(0, 64))
+    code, rec = _cli_run(tmp_path, dt_like(0, 64))
     assert code == 1
     assert [e["type"] for e in rec["errors"]] == ["IllConditioned"]
 
@@ -193,6 +185,19 @@ def test_cli_iterate_writes_decreasing_csv(tmp_path):
 
 def test_cli_unknown_command_usage_error():
     assert main(["frobnicate", "--seed", "1"]) == 2
+
+
+def test_cli_parser_reused_after_usage_errors(tmp_path, capsys):
+    # main builds its parser once per process; usage errors must leave it as
+    # a fresh process would have it
+    assert main(["bogus"]) == 2
+    assert main(["limit"]) == 2
+    out, fresh = tmp_path / "rec.json", tmp_path / "fresh.json"
+    assert main(["limit", "--seed", "5", "--out", str(out)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    argv = [sys.executable, "-m", "satk.cli", "limit", "--seed", "5", "--out", str(fresh)]
+    assert subprocess.run(argv, env=env).returncode == 0
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
-from conftest import random_complex, random_invertible
+from conftest import dt_like, random_complex, random_invertible
 from oracles import (
     abs_op,
     brute_force_power,
@@ -178,6 +178,10 @@ def _reference_flag_run(a, ns, k):
 
 
 def _flag_kernel_cases():
+    """(kind, a): the kernel runs a "generic" matrix in blocks (k > 1) and
+    every other kind with k = 1.  m = 1 takes numpy's dot path and m > 1 the
+    zgemm product; k runs over 1, 2, 4 and 8; the singular and nilpotent
+    cases put -inf in the logs."""
     rng = np.random.default_rng(2024)
     for m in range(1, 9):
         yield pytest.param("generic", random_complex(rng, (m, m)), id=f"generic-{m}")
@@ -186,6 +190,15 @@ def _flag_kernel_cases():
     singular[4, 4] = 0.0
     yield pytest.param("singular", singular, id="singular-5")
     yield pytest.param("nilpotent", 2.0 * np.eye(4, k=1, dtype=complex), id="nilpotent-4")
+    # DT-like: k = 2 at m = 16, k = 1 at m = 32
+    yield pytest.param("generic", dt_like(2, 16), id="dt-16")
+    yield pytest.param("spread", dt_like(2, 32), id="dt-32")
+    # A^2 leaves float range at c = 1e±200 (k = 1); A^8 is subnormal at
+    # c = 1e-40 (k = 4)
+    b = np.array([[1, 1], [0, 0.5]], dtype=complex)
+    yield pytest.param("overflow", 1e200 * b, id="scaled-1e200")
+    yield pytest.param("underflow", 1e-200 * b, id="scaled-1e-200")
+    yield pytest.param("generic", 1e-40 * b, id="scaled-1e-40")
 
 
 @pytest.mark.parametrize("kind, a", list(_flag_kernel_cases()))
@@ -265,7 +278,7 @@ def test_flag_step_raises_on_lapack_failure(monkeypatch, routine):
     real = getattr(powerit.lapack, routine)
     monkeypatch.setattr(powerit.lapack, routine, lambda *a, **k: (*real(*a, **k)[:-1], -1))
     with pytest.raises(np.linalg.LinAlgError, match=routine):
-        powerit._flag_step(FIXTURE, np.eye(2, dtype=complex), np.zeros(2))
+        powerit._flag_steps(FIXTURE, np.eye(2, dtype=complex), np.zeros(2), 3)
 
 
 def test_normalized_power_nilpotent_is_zero():
