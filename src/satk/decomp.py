@@ -136,15 +136,19 @@ def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
     return SpectralIdempotent(matrix=p, cluster=cluster)
 
 
-def dunford(a) -> DunfordDecomposition:
-    """Dunford (Jordan-Chevalley) decomposition of A from its cluster idempotents."""
-    a = linalg.as_matrix(a)
+@functools.lru_cache(maxsize=8)
+def _dunford(key: bytes, m: int) -> DunfordDecomposition:
+    """Dunford decomposition of the m x m matrix with a.tobytes() == key.
+    Shared through this memo, so every array of it is read-only."""
+    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
     idempotents = tuple(spectral_idempotent(a, c) for c in eigen_clusters(a))
     d = np.zeros_like(a)
     for p in idempotents:
         d += p.cluster.representative * p.matrix
     n = a - d
     bound = max(linalg.norm2(p.matrix) for p in idempotents)
+    for x in (d, n, *(p.matrix for p in idempotents)):
+        x.flags.writeable = False
     return DunfordDecomposition(
         matrix=a,
         scalar_part=d,
@@ -152,3 +156,10 @@ def dunford(a) -> DunfordDecomposition:
         idempotents=idempotents,
         condition_bound=float(bound),
     )
+
+
+def dunford(a) -> DunfordDecomposition:
+    """Dunford (Jordan-Chevalley) decomposition of A from its cluster
+    idempotents, computed once per matrix.  It holds a copy of A, never A."""
+    a = linalg.as_matrix(a)
+    return _dunford(a.tobytes(), a.shape[0])

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from satk import decomp, powerit, resolution
+
+
+def clear_memos():
+    """Empty satk's stdlib memos, so a test that counts calls starts cold
+    whatever ran before it."""
+    for memo in (powerit._flag_run, decomp._schur_form, decomp._dunford, resolution._resolution):
+        memo.cache_clear()
+
 
 @pytest.fixture
 def rng():

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import satk
-from satk import linalg, powerit, shifts
+from satk import linalg, shifts
 from satk.decomp import dunford, eigen_clusters
 from satk.instances import InstanceSpec, generate_instance
 from satk.powerit import normalized_power, vector_exponent_estimates, yamamoto_limits
@@ -23,6 +23,7 @@ from satk.cli import run_command
 from satk.records import RunConfig
 
 from conftest import (
+    clear_memos,
     orthogonal_partition,
     random_complex,
     random_hermitian,
@@ -390,7 +391,7 @@ def test_shift_power_crosscheck_all_kinds():
 def test_sweep_byte_identical_across_invocations():
     params = {"count": 6, "n": 2048, "tol": 2e-3}
     first = run_command(RunConfig(command="sweep", seed=77, params=dict(params)))
-    powerit._flag_run.cache_clear()  # the repeat recomputes every flag run
+    clear_memos()  # the repeat recomputes every memoized result
     again = run_command(RunConfig(command="sweep", seed=77, params=dict(params)))
     assert again.to_json() == first.to_json()
     assert first.passed

@@ -6,7 +6,7 @@ from satk.errors import IllConditioned
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import modulus_resolution
 
-from conftest import random_complex, similar_jordan
+from conftest import clear_memos, random_complex, similar_jordan
 
 
 def test_eigen_clusters_merges_close_values():
@@ -126,7 +126,7 @@ def test_dunford_makes_one_schur_form(monkeypatch):
     calls = []
     zgees = decomp.lapack.zgees
     monkeypatch.setattr(decomp.lapack, "zgees", lambda *args, **kw: calls.append(1) or zgees(*args, **kw))
-    decomp._schur_form.cache_clear()
+    clear_memos()
     t = np.array([[1, 0.3, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0.5], [0, 0, 0, 3j]], dtype=complex)
     s = np.eye(4) + 0.1 * random_complex(np.random.default_rng(5), (4, 4))
     dec = decomp.dunford(np.linalg.solve(s, t @ s))
@@ -142,3 +142,21 @@ def test_dunford_refuses_similar_jordan_block():
     with pytest.raises(IllConditioned) as err:
         decomp.dunford(a)
     assert 0.0 < err.value.residual < decomp.SEP_FLOOR * max(1.0, linalg.norm2(a))
+    # a refusal is not memoized: the repeat refuses again, with the same sep
+    with pytest.raises(IllConditioned) as again:
+        decomp.dunford(a)
+    assert again.value.residual == err.value.residual
+
+
+def test_dunford_holds_a_read_only_copy():
+    # the decomposition is shared through a memo: it keeps its own copy of
+    # A, and no caller can write into it
+    a = np.array([[1, 1], [0, 2]], dtype=complex)
+    dec = decomp.dunford(a)
+    arrays = [dec.matrix, dec.scalar_part, dec.nilpotent_part, *(p.matrix for p in dec.idempotents)]
+    assert not any(np.shares_memory(x, a) for x in arrays)
+    assert not any(x.flags.writeable for x in arrays)
+    a[0, 1] = 5
+    assert dec.matrix[0, 1] == 1
+    assert decomp.dunford(a) is not dec
+    assert decomp.dunford(np.array([[1, 1], [0, 2]], dtype=complex)) is dec

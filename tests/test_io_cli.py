@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import satk
-from satk import linalg
+from satk import decomp, linalg
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
 from satk.mmio import parse_matrix
 from satk.powerit import normalized_power
 from satk.records import ARTIFACT_VERSION, RunConfig, write_error_csv
 
-from conftest import dt_like, similar_jordan
+from conftest import clear_memos, dt_like, similar_jordan
 from oracles import matrix_to_json, read_error_csv
 
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
@@ -187,6 +187,12 @@ def test_cli_unknown_command_usage_error():
     assert main(["frobnicate", "--seed", "1"]) == 2
 
 
+def _fresh_process_main(argv):
+    """Exit status of ``satk.cli`` run with argv in a new Python process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "satk.cli", *argv], env=env).returncode
+
+
 def test_cli_parser_reused_after_usage_errors(tmp_path, capsys):
     # main builds its parser once per process; usage errors must leave it as
     # a fresh process would have it
@@ -194,9 +200,25 @@ def test_cli_parser_reused_after_usage_errors(tmp_path, capsys):
     assert main(["limit"]) == 2
     out, fresh = tmp_path / "rec.json", tmp_path / "fresh.json"
     assert main(["limit", "--seed", "5", "--out", str(out)]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
-    argv = [sys.executable, "-m", "satk.cli", "limit", "--seed", "5", "--out", str(fresh)]
-    assert subprocess.run(argv, env=env).returncode == 0
+    assert _fresh_process_main(["limit", "--seed", "5", "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_cli_decompose_and_limit_share_one_dunford(tmp_path, monkeypatch):
+    # limit after decompose on the same file reuses its decomposition: one
+    # idempotent per cluster in all, and the record a fresh process writes
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps(matrix_to_json(np.array([[1, 1, 0], [0, 1, 0.5], [0, 0, 2j]]))))
+    calls = []
+    spectral_idempotent = decomp.spectral_idempotent
+    monkeypatch.setattr(decomp, "spectral_idempotent", lambda *a: calls.append(1) or spectral_idempotent(*a))
+    clear_memos()
+    out_dec, out, fresh = tmp_path / "dec.json", tmp_path / "lim.json", tmp_path / "fresh.json"
+    assert main(["decompose", "--input", str(src), "--out", str(out_dec)]) == 0
+    assert main(["limit", "--input", str(src), "--out", str(out)]) == 0
+    assert json.loads(out_dec.read_text())["results"]["multiplicities"] == [1, 2]
+    assert len(calls) == 2
+    assert _fresh_process_main(["limit", "--input", str(src), "--out", str(fresh)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
 
 

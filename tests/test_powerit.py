@@ -7,7 +7,7 @@ from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
-from conftest import dt_like, random_complex, random_invertible
+from conftest import clear_memos, dt_like, random_complex, random_invertible
 from oracles import (
     abs_op,
     brute_force_power,
@@ -82,7 +82,7 @@ def test_power_roots_share_one_squaring_chain(monkeypatch):
     a = generate_instance(20003, InstanceSpec(dim=5)).matrix
     norm2, calls = linalg.norm2, []
     monkeypatch.setattr(linalg, "norm2", lambda x: calls.append(1) or norm2(x))
-    powerit._flag_run.cache_clear()
+    clear_memos()
     powerit._power_roots(a, SCHEDULE)
     assert len(calls) == 22
     assert powerit._flag_run.cache_info().misses == 1  # the flag path ran
@@ -128,7 +128,7 @@ def test_normalized_power_flag_agrees_with_exact_midrange(rng):
 
 def test_estimators_share_one_flag_run():
     a = generate_instance(5, InstanceSpec(dim=5)).matrix
-    powerit._flag_run.cache_clear()
+    clear_memos()
     powerit.normalized_power(a, 4096)
     powerit.yamamoto_limits(a, 4096)
     powerit.vector_exponent_estimates(a, np.eye(5), 4096)
@@ -352,7 +352,7 @@ def test_convergence_study_errors_match_normalized_power(seed):
         a = generate_instance(seed, InstanceSpec(dim=4)).matrix
     schedule = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
     k = limit_operator(modulus_resolution(dunford(a))).matrix
-    powerit._flag_run.cache_clear()
+    clear_memos()
     report = powerit.convergence_study(a, schedule, k)
     assert powerit._flag_run.cache_info().misses == 1  # one run for all flag-path n
     # each n here builds a squaring chain of its own, and each flag-path n
@@ -381,7 +381,7 @@ def _one_spectrum_cases():
 @pytest.mark.parametrize("a, n, on_flag", list(_one_spectrum_cases()))
 def test_normalized_power_spectrum_is_yamamoto_limits(a, n, on_flag):
     # one read-out gives both: the eigenvalues of |A^n|^(1/n) are s_j(A^n)^(1/n)
-    powerit._flag_run.cache_clear()
+    clear_memos()
     eigs = np.sort(np.linalg.eigvalsh(powerit.normalized_power(a, n)))[::-1]
     if on_flag is not None:
         assert (powerit._flag_run.cache_info().misses == 1) == on_flag

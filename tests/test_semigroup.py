@@ -8,7 +8,7 @@ from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
-from conftest import random_complex
+from conftest import clear_memos, random_complex
 from oracles import scaled_matrix
 
 GAPPED = InstanceSpec(dim=4, min_real_gap=0.2)
@@ -119,7 +119,7 @@ def test_exp_growth_estimate_agrees_with_exact_on_gapped_instances():
 def test_exp_growth_estimate_shares_one_flag_run():
     # every basis column reads the same propagator's flag
     inst = generate_instance(6200, GAPPED)
-    powerit._flag_run.cache_clear()
+    clear_memos()
     for j in range(4):
         semigroup.exp_growth_estimate(inst.matrix, np.eye(4)[:, j], 200.0)
     assert powerit._flag_run.cache_info().misses == 1
