@@ -1,6 +1,6 @@
 """SHA-256 of every run record a checkout writes on a fixed corpus, with its exit status.
 
-    python3 results/records.py CHECKOUT WORKDIR OUT.json
+    python3 results/records.py CHECKOUT WORKDIR OUT.json [KEEP]
 
 Two record sets, both written with CHECKOUT's ``src`` and ``bench``:
 
@@ -16,12 +16,14 @@ Two record sets, both written with CHECKOUT's ``src`` and ``bench``:
 A record names its input file, so compare two checkouts with the same WORKDIR,
 one after the other: equal OUT files mean byte-identical records and equal
 exit statuses.  OUT names each run by its arguments, with WORKDIR spelled
-``WORKDIR``.
+``WORKDIR``.  With KEEP, each record is also copied to KEEP/fresh/I.json or
+KEEP/in_process/I.json, I its row in OUT, for ``results/record_diff.py``.
 """
 
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,7 +72,13 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def fresh_records(checkout: Path, workdir: Path) -> list:
+def kept(keep, name: str, rows: list, out: Path):
+    if keep is not None:
+        (keep / name).mkdir(parents=True, exist_ok=True)
+        shutil.copy(out, keep / name / f"{len(rows) - 1}.json")
+
+
+def fresh_records(checkout: Path, workdir: Path, keep=None) -> list:
     sources = [["--input", str(p)] for p in input_files(workdir)] + [["--seed", str(s)] for s in SEEDS]
     runs = [[cmd, *src, *extra] for cmd, extra in VARIANTS for src in sources]
     runs += [["shift", "--config", json.dumps(cfg)] for cfg in SHIFTS] + [["sweep", "--seed", "42"]]
@@ -82,10 +90,11 @@ def fresh_records(checkout: Path, workdir: Path) -> list:
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
         rows.append([" ".join(argv).replace(str(workdir), "WORKDIR"), code, digest(out)])
+        kept(keep, "fresh", rows, out)
     return rows
 
 
-def in_process_records(checkout: Path, workdir: Path) -> list:
+def in_process_records(checkout: Path, workdir: Path, keep=None) -> list:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import workloads
     from satk import cli
@@ -97,19 +106,24 @@ def in_process_records(checkout: Path, workdir: Path) -> list:
         for cmd in IN_PROCESS:
             code = cli.main([cmd, "--input", str(f.path), "--out", str(out)])
             rows.append([f"{cmd} {f.path.name}", code, digest(out)])
+            kept(keep, "in_process", rows, out)
     return rows
 
 
-def main(checkout, workdir, out):
+def main(checkout, workdir, out, keep=None):
     checkout, workdir = Path(checkout).resolve(), Path(workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
-    report = {"fresh": fresh_records(checkout, workdir), "in_process": in_process_records(checkout, workdir)}
+    keep = None if keep is None else Path(keep)
+    report = {
+        "fresh": fresh_records(checkout, workdir, keep),
+        "in_process": in_process_records(checkout, workdir, keep),
+    }
     Path(out).write_text(json.dumps(report, indent=1) + "\n")
     for name, rows in report.items():
         print(f"{name}: {len(rows)} records, {sum(code == 0 for _, code, _ in rows)} exit 0")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 4:
+    if len(sys.argv) not in (4, 5):
         sys.exit(__doc__)
     main(*sys.argv[1:])

@@ -51,7 +51,6 @@ class ScaledPower:
 class ConvergenceReport:
     schedule: tuple
     errors: tuple
-    estimated_rate: float
 
 
 def _positive_int(n) -> int:
@@ -293,7 +292,7 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
 
 
 def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
-    """Errors ||A^n|^(1/n) - K|| over a schedule, with a log-error tail slope.
+    """Errors ||A^n|^(1/n) - K|| over a schedule.
 
     One ``_power_roots`` call over the whole schedule: each n takes the path
     ``normalized_power`` takes, and the n on the flag path are all read from
@@ -306,12 +305,4 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     k = np.asarray(limit_matrix, dtype=np.complex128)
     powers = _power_roots(a, tuple(schedule))
     errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
-    tail = max(2, len(schedule) // 2)
-    ns = np.array(schedule[-tail:], dtype=float)
-    logs = np.log(np.maximum(errors[-tail:], 1e-300))
-    rate = float(np.polyfit(ns, logs, 1)[0]) if len(ns) >= 2 else 0.0
-    return ConvergenceReport(
-        schedule=tuple(schedule),
-        errors=tuple(errors),
-        estimated_rate=rate,
-    )
+    return ConvergenceReport(schedule=tuple(schedule), errors=tuple(errors))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-ARTIFACT_VERSION = "1.0.0"
+ARTIFACT_VERSION = "2.0.0"
 RNG_NAME = "numpy.random.Generator(PCG64)"
 
 
@@ -31,7 +31,6 @@ class RunConfig:
     command: str
     seed: int | None = None
     input_path: str | None = None
-    csv: bool = False
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -38,13 +38,6 @@ class LimitOperator:
     spectrum_moduli: tuple
 
 
-@dataclass(frozen=True)
-class ResolutionDiagnostics:
-    max_idempotency_residual: float
-    max_monotonicity_violation: float
-    top_identity_gap: float
-
-
 def _level_resolution(dec: DunfordDecomposition, key) -> LevelResolution:
     clusters = tuple((p.cluster.representative, p.cluster.multiplicity) for p in dec.idempotents)
     return _resolution(dec.matrix.tobytes(), dec.dim, key, clusters)
@@ -152,20 +145,14 @@ def exp_growth_exponent_exact(dec: DunfordDecomposition, x) -> float:
     return level
 
 
-def check_resolution(res: LevelResolution) -> ResolutionDiagnostics:
-    """Idempotency, monotonicity, and top-element diagnostics for a resolution."""
-    idem = 0.0
-    mono = 0.0
-    prev = None
-    for f in res.projections:
-        idem = max(idem, linalg.norm2(f @ f - f), linalg.norm2(f - f.conj().T))
-        if prev is not None:
-            low = float(np.linalg.eigvalsh(0.5 * (f + f.conj().T) - prev)[0])
-            mono = max(mono, -min(low, 0.0))
-        prev = 0.5 * (f + f.conj().T)
-    top_gap = linalg.norm2(res.projections[-1] - np.eye(res.projections[-1].shape[0]))
-    return ResolutionDiagnostics(
-        max_idempotency_residual=float(idem),
-        max_monotonicity_violation=float(mono),
-        top_identity_gap=float(top_gap),
-    )
+def check_resolution(a, res: LevelResolution) -> float:
+    """Invariant-subspace residual max_j ||(I - F_j) A F_j|| / max(1, ||A||).
+
+    It is the backward error of the Schur split behind each F_j (Stewart
+    1973): 0 when every range of F_j is A-invariant, as for a resolution of
+    A's own spectrum, and of order one for the projections of another matrix.
+    """
+    a = linalg.as_matrix(a)
+    eye = np.eye(a.shape[0])
+    worst = max(linalg.norm2((eye - f) @ a @ f) for f in res.projections)
+    return worst / max(1.0, linalg.norm2(a))

@@ -12,6 +12,7 @@ import satk
 from satk import decomp, linalg
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
+from satk.instances import InstanceSpec, generate_instance
 from satk.mmio import parse_matrix
 from satk.powerit import normalized_power
 from satk.records import ARTIFACT_VERSION, RunConfig, write_error_csv
@@ -310,11 +311,37 @@ def test_record_numbers_roundtrip():
 
 
 def test_record_bytes_do_not_depend_on_out_path(tmp_path):
-    first, second = tmp_path / "x1.json", tmp_path / "sub" / "x2.json"
+    first, second, third = tmp_path / "x1.json", tmp_path / "sub" / "x2.json", tmp_path / "x3.json"
     second.parent.mkdir()
     assert main(["limit", "--seed", "5", "--out", str(first)]) == 0
     assert main(["limit", "--seed", "5", "--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+    # --csv is an output option like --out: it is not recorded
+    assert main(["limit", "--seed", "5", "--out", str(third), "--csv"]) == 0
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "command, params, spec",
+    [
+        ("decompose", {}, {}),
+        ("limit", {}, {}),
+        ("iterate", {}, {}),
+        ("yamamoto", {"n": 512}, {}),
+        ("vector-exponent", {}, {}),
+        ("semigroup", {}, {"min_real_gap": 0.2}),
+    ],
+)
+def test_seeded_record_is_the_record_of_its_matrix_file(tmp_path, command, params, spec, seed):
+    # --seed only chooses how A is made: satk decomposes it as it would a file
+    clear_memos()
+    seeded = run_command(RunConfig(command=command, seed=seed, params={**params, "instance": spec}))
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps(matrix_to_json(generate_instance(seed, InstanceSpec(**spec)).matrix)))
+    clear_memos()
+    from_file = run_command(RunConfig(command=command, input_path=str(src), params=params))
+    for key in ("checks", "results", "errors"):
+        assert seeded.to_dict()[key] == from_file.to_dict()[key], key
 
 
 def test_one_version_string():

@@ -6,6 +6,7 @@ from satk.decomp import dunford, single_linkage
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import (
+    LevelResolution,
     check_resolution,
     halfplane_resolution,
     limit_operator,
@@ -14,6 +15,7 @@ from satk.resolution import (
     vector_exponent_exact,
 )
 
+from conftest import dt_like, random_complex, random_projection
 from oracles import range_oracle
 
 
@@ -23,18 +25,43 @@ def test_cluster_values_groups_gaps():
     assert sorted(groups) == [[0], [1, 2], [3]]
 
 
-def test_resolution_monotone_and_tops_out():
+def _resolved_matrices():
     for i in range(20):
         inst = generate_instance(8000 + i, InstanceSpec(dim=2 + i % 6))
-        res = modulus_resolution(inst.decomposition)
-        diag = check_resolution(res)
-        assert diag.max_idempotency_residual <= 1e-8
-        assert diag.max_monotonicity_violation <= 1e-8
-        assert diag.top_identity_gap <= 1e-8
+        yield inst.matrix, modulus_resolution(inst.decomposition)
+    # nearly equal moduli with idempotent norms up to 1e9, and an extreme scale
+    for a in (dt_like(2, 32), 1e200 * np.array([[1.0, 1.0], [0.0, 0.5]])):
+        yield a, modulus_resolution(dunford(a))
+
+
+def test_resolution_monotone_and_tops_out():
+    for a, res in _resolved_matrices():
+        m = a.shape[0]
+        for f in res.projections:
+            assert np.linalg.norm(f @ f - f, 2) <= 1e-8
+            assert np.linalg.norm(f - f.conj().T, 2) <= 1e-8
+        for low, high in zip(res.projections, res.projections[1:]):
+            assert np.linalg.eigvalsh(0.5 * (high + high.conj().T) - low)[0] >= -1e-8
+        assert np.linalg.norm(res.projections[-1] - np.eye(m), 2) <= 1e-8
+        assert check_resolution(a, res) <= 1e-12
         assert list(res.levels) == sorted(res.levels)
         ranks = [linalg.matrix_rank(f) for f in res.projections]
         assert ranks == sorted(ranks)
-        assert ranks[-1] == inst.matrix.shape[0]
+        assert ranks[-1] == m
+
+
+def test_check_resolution_fails_off_the_invariant_subspaces():
+    # orthogonal, nested and topped out, but not A-invariant: the residual sees it
+    rng = np.random.default_rng(8200)
+    for i in range(5):
+        inst = generate_instance(8200 + i, InstanceSpec(dim=4))
+        random_levels = LevelResolution(
+            levels=(0.5, 1.0),
+            projections=(random_projection(rng, 4, 2), np.eye(4, dtype=complex)),
+        )
+        assert check_resolution(inst.matrix, random_levels) > 0.1
+        other = dunford(random_complex(rng, (4, 4)))
+        assert check_resolution(inst.matrix, modulus_resolution(other)) > 0.1
 
 
 def test_shared_modulus_levels_merge():
