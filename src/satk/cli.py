@@ -7,8 +7,10 @@ defaults, are the keyword parameters of its ``_cmd_*`` function.  Any other
 key or ``instance`` field, a source the command does not read (``shift``
 reads neither ``--input`` nor ``--seed``, ``sweep`` only ``--seed``), a
 missing source (any other command needs ``--input`` or ``--seed``, ``sweep``
-needs ``--seed``), and an ``--input`` that names no file are usage errors
-(exit 2, no record).
+needs ``--seed``), an ``--input`` that names no file, a ``--config`` that is
+neither a file nor a JSON object and ``--csv`` on a command other than
+``iterate`` are usage errors (exit 2, no record).  An ``--out`` (or its CSV)
+that cannot be written also exits 2, after the command has run.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .powerit import (
     vector_exponent_estimates,
     yamamoto_limits,
 )
-from .records import RunConfig, RunRecord, write_error_csv
+from .records import RunConfig, RunRecord, write_error_csv, write_text
 from .resolution import (
     check_resolution,
     limit_operator,
@@ -57,7 +59,10 @@ _SOURCES = {"shift": (), "sweep": ("seed",)}
 def _load_config(text):
     if text is None:
         return {}
-    obj = json.loads(read_source(text))
+    try:
+        obj = json.loads(read_source(text))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"'--config' is no file and no JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise UsageError("config must be a JSON object")
     return obj
@@ -285,7 +290,7 @@ def _build_parser():
     parser.add_argument("--config", help="JSON object (inline or a file path) with parameters")
     parser.add_argument("--out", help="write the RunRecord JSON here (default: stdout)")
     parser.add_argument(
-        "--csv", action="store_true", help="iterate: also write the per-n errors next to --out"
+        "--csv", action="store_true", help="iterate only: also write the per-n errors next to --out"
     )
     return parser
 
@@ -299,6 +304,8 @@ def main(argv=None) -> int:
         params = _load_config(args.config)
         if args.seed is not None and args.seed < 0:
             raise UsageError("seed must be a non-negative 64-bit integer")
+        if args.csv and args.command != "iterate":
+            raise UsageError(f"{args.command} does not write '--csv'")
         record = run_command(
             RunConfig(
                 command=args.command,
@@ -307,18 +314,22 @@ def main(argv=None) -> int:
                 params=params,
             )
         )
-    except (UsageError, json.JSONDecodeError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = record.to_json()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if args.csv and "schedule" in record.results:
-        base = Path(args.out) if args.out else Path("satk_errors.json")
-        rows = zip(record.results["schedule"], record.results["errors"])
-        write_error_csv(base.with_suffix(".csv"), rows)
+    try:
+        if args.out:
+            write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
+        if args.csv and "schedule" in record.results:
+            base = Path(args.out) if args.out else Path("satk_errors.json")
+            rows = zip(record.results["schedule"], record.results["errors"])
+            write_error_csv(base.with_suffix(".csv"), rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if record.passed else 1
 
 

@@ -115,10 +115,12 @@ def _parse_json_obj(obj) -> np.ndarray:
 
 
 def read_source(source) -> str:
-    """The contents of the file ``source`` names, or ``source`` itself as inline text."""
+    """The contents of the file ``source`` names, or ``source`` itself as inline text.
+
+    A directory is not read: its name comes back as inline text."""
     text = str(source)
     try:
-        is_file = isinstance(source, (str, Path)) and Path(text).exists()
+        is_file = isinstance(source, (str, Path)) and Path(text).is_file()
     except OSError:  # e.g. inline text longer than a legal file name
         is_file = False
     return Path(text).read_text() if is_file else text

@@ -8,8 +8,11 @@ keys are sorted, floats use Python's shortest round-trip repr, and the
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import stat
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -100,13 +103,33 @@ def _jsonable(obj):
     return obj
 
 
+def write_text(path, text: str):
+    """Write ``text`` to the file ``path`` names, replacing its contents in place.
+
+    The file is opened without ``O_TRUNC``, written from its start and cut at
+    the end of ``text``: truncating to zero and closing makes ext4 (and XFS,
+    btrfs) start writeback at once, 110-280 us per overwrite against about
+    10 us.  As with ``Path.write_text``, a new file gets mode 0o666 under the
+    umask, a symlink is followed and a hard link's one inode is written.  Only
+    a regular file is cut; a device or a pipe is written as a stream.  Neither
+    way calls ``fsync``, but a crash mid-write can now leave a mix of new and
+    old bytes, where ``O_TRUNC`` left an empty or partial file.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_error_csv(path, rows):
-    """Per-n error table with the fixed header n,error,log_error."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "error", "log_error"])
-        for n, err in rows:
-            err = float(err)
-            log_err = math.log(err) if err > 0.0 else -math.inf
-            writer.writerow([int(n), repr(err), repr(log_err)])
+    """Per-n error table with the fixed header n,error,log_error and CRLF row ends."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["n", "error", "log_error"])
+    for n, err in rows:
+        err = float(err)
+        log_err = math.log(err) if err > 0.0 else -math.inf
+        writer.writerow([int(n), repr(err), repr(log_err)])
+    write_text(path, buf.getvalue())
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import math
 import os
 import re
 import subprocess
@@ -267,11 +269,14 @@ def test_run_command_seeded_commands_pass():
         (["shift", "--input", __file__], "--input"),
         (["sweep", "--seed", "3", "--input", __file__, "--config", '{"count": 1}'], "--input"),
         (["limit", "--input", "no_such_matrix.mtx"], "no_such_matrix.mtx"),
+        (["limit", "--seed", "5", "--csv"], "--csv"),
+        (["limit", "--seed", "5", "--config", str(Path(__file__).parent)], "--config"),
     ],
 )
 def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, argv, key):
-    # a misspelled key, a source the command does not read or an --input that
-    # names no file must not silently run the default
+    # a misspelled key, a source the command does not read, an --input that
+    # names no file, a --config directory or an output the command does not
+    # write must not silently run the default
     out = tmp_path / "rec.json"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
@@ -313,11 +318,55 @@ def test_record_numbers_roundtrip():
 def test_record_bytes_do_not_depend_on_out_path(tmp_path):
     first, second, third = tmp_path / "x1.json", tmp_path / "sub" / "x2.json", tmp_path / "x3.json"
     second.parent.mkdir()
-    assert main(["limit", "--seed", "5", "--out", str(first)]) == 0
-    assert main(["limit", "--seed", "5", "--out", str(second)]) == 0
+    argv = ["iterate", "--seed", "5", "--config", '{"schedule": [64, 4096]}']
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main([*argv, "--out", str(second)]) == 0
     # --csv is an output option like --out: it is not recorded
-    assert main(["limit", "--seed", "5", "--out", str(third), "--csv"]) == 0
+    assert main([*argv, "--out", str(third), "--csv"]) == 0
     assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+
+def _csv_bytes(record_path):
+    """The n,error,log_error table of an iterate record as csv.writer spells it."""
+    rec = json.loads(record_path.read_text())
+    rows = [f"{n},{e!r},{math.log(e) if e > 0 else -math.inf!r}\r\n"
+            for n, e in zip(rec["results"]["schedule"], rec["results"]["errors"])]
+    return ("n,error,log_error\r\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("case", ["shorter", "symlink", "dev-null", "csv", "no-dir", "directory"])
+def test_out_is_replaced_in_place(tmp_path, capsys, case):
+    # --out keeps its inode: a longer old file is cut at the new end, a
+    # symlink is written through, a device is written as a stream, and a
+    # path that cannot be opened is an error (exit 2), not a traceback
+    argv = ["iterate", "--seed", "5", "--config", '{"schedule": [16, 256, 4096]}']
+    if case == "csv":
+        argv.append("--csv")
+    fresh, out = tmp_path / "fresh.json", tmp_path / "rec.json"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    target = tmp_path / "target.json" if case == "symlink" else out
+    target.write_bytes(b"x" * 100_000)
+    inode = target.stat().st_ino
+    out.with_suffix(".csv").write_bytes(b"y" * 100_000)
+    if case == "symlink":
+        out.symlink_to(target)
+    special = {"dev-null": Path(os.devnull), "no-dir": tmp_path / "no" / "rec.json", "directory": tmp_path}
+    out = special.get(case, out)
+    code = main([*argv, "--out", str(out)])
+    if case in ("no-dir", "directory"):
+        assert code == 2
+        number = errno.ENOENT if case == "no-dir" else errno.EISDIR
+        assert capsys.readouterr().err.startswith(f"error: [Errno {number}]")
+        return
+    assert code == 0
+    if case != "dev-null":
+        assert target.read_bytes() == fresh.read_bytes()
+        assert target.stat().st_ino == inode
+    if case == "symlink":
+        assert out.is_symlink() and out.resolve() == target
+    if case == "csv":
+        written = out.with_suffix(".csv").read_bytes()
+        assert written == fresh.with_suffix(".csv").read_bytes() == _csv_bytes(fresh)
 
 
 @pytest.mark.parametrize("seed", range(6))
