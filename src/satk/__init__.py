@@ -44,15 +44,9 @@ from .semigroup import (
     semigroup_limit,
 )
 from .shifts import (
-    MeanTable,
     WeightSequence,
     backward_classifier,
-    blocks,
-    constant,
-    explicit,
-    geometric,
     geometric_mean_table,
-    harmonic,
     shift_power_crosscheck,
     truncate_forward,
     uniform_limit_detector,

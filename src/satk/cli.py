@@ -7,15 +7,19 @@ defaults, are the keyword parameters of its ``_cmd_*`` function.  Any other
 key or ``instance`` field, a source the command does not read (``shift``
 reads neither ``--input`` nor ``--seed``, ``sweep`` only ``--seed``), a
 missing source (any other command needs ``--input`` or ``--seed``, ``sweep``
-needs ``--seed``), an ``--input`` that names no file, a ``--config`` that is
+needs ``--seed``), both ``--input`` and ``--seed``, an ``instance`` with
+``--input``, an ``--input`` that names no file, a ``--config`` that is
 neither a file nor a JSON object and ``--csv`` on a command other than
-``iterate`` are usage errors (exit 2, no record).  An ``--out`` (or its CSV)
-that cannot be written also exits 2, after the command has run.
+``iterate`` are usage errors (exit 2, no record).  So is an ``--out`` that
+names a directory or lies in no directory, before the command runs; an
+``--out`` (or its CSV) that cannot be written for another reason exits 2
+after the command has run.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import inspect
 import json
@@ -118,7 +122,7 @@ def _cmd_iterate(record, config, schedule=_DEFAULT_SCHEDULE, tol=1e-3, instance=
     k = limit_operator(modulus_resolution(dunford(a)))
     report = convergence_study(a, schedule, k.matrix)
     record.add_check("final_error", report.errors[-1], float(tol))
-    record.results["schedule"] = list(report.schedule)
+    record.results["schedule"] = schedule
     record.results["errors"] = list(report.errors)
 
 
@@ -150,41 +154,22 @@ def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instanc
     record.results["estimates"] = est
 
 
-def _weight_sequence(kind, values, ratio, level):
-    """``level=None`` means 1.0 for ``constant`` and 2.0 for ``blocks``."""
-    if kind == "explicit":
-        if values is None:
-            raise UsageError("kind 'explicit' needs 'values'")
-        return shifts.explicit(values)
-    if kind == "harmonic":
-        return shifts.harmonic()
-    if kind == "geometric":
-        return shifts.geometric(float(ratio))
-    if kind == "constant":
-        return shifts.constant(float(1.0 if level is None else level))
-    if kind == "blocks":
-        return shifts.blocks(float(2.0 if level is None else level))
-    raise UsageError(f"unknown weight kind {kind!r}")
-
-
 def _cmd_shift(
     record, config, kind="harmonic", values=None, ratio=0.5, level=None,
     start_max=64, length_max=256, detector_tol=1e-2, m=256, n=32, tol=1e-10,
 ):
-    w = _weight_sequence(kind, values, ratio, level)
+    level = {"constant": 1.0, "blocks": 2.0}.get(kind, 0.0) if level is None else level
+    values, ratio, level = tuple(values or ()), float(ratio), float(level)
+    w = shifts.WeightSequence(kind, values=values, ratio=ratio, level=level)
     table = shifts.geometric_mean_table(w, int(start_max), int(length_max))
     det = shifts.uniform_limit_detector(table, tol=float(detector_tol))
     record.results["converged"] = det.converged
     record.results["alpha"] = det.alpha
     record.results["witness"] = det.witness
     record.results["backward_converges"] = shifts.backward_classifier(w)
-    cross = shifts.shift_power_crosscheck(w, int(m), int(n))
-    record.add_check("crosscheck_deviation", cross.max_deviation, float(tol))
-    record.results["crosscheck"] = {
-        "m": cross.truncation_dim,
-        "n": cross.power,
-        "interior_cells": cross.interior_cells,
-    }
+    m, n = int(m), int(n)
+    record.add_check("crosscheck_deviation", shifts.shift_power_crosscheck(w, m, n), float(tol))
+    record.results["crosscheck"] = {"m": m, "n": n, "interior_cells": m - n}
 
 
 def _cmd_semigroup(record, config, t=200.0, tol=1e-2, instance=None):
@@ -270,6 +255,10 @@ def run_command(config: RunConfig) -> RunRecord:
             raise UsageError(f"{config.command} does not read '--{name}'")
     if sources and all(given[name] is None for name in sources):
         raise UsageError(f"{config.command} needs " + " or ".join(repr(f"--{s}") for s in sources))
+    if config.input_path is not None and config.seed is not None:
+        raise UsageError(f"{config.command} reads '--input' or '--seed', not both")
+    if config.input_path is not None and "instance" in bound.arguments:
+        raise UsageError(f"{config.command} reads no 'instance' with '--input'")
     if config.input_path is not None and not os.path.isfile(config.input_path):
         raise UsageError(f"--input {config.input_path!r} is not a file")
     try:
@@ -295,6 +284,15 @@ def _build_parser():
     return parser
 
 
+def _check_out(path):
+    """Raise the error that writing ``path`` would, where a stat can tell:
+    ``path`` is a directory, or its directory is missing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -306,6 +304,8 @@ def main(argv=None) -> int:
             raise UsageError("seed must be a non-negative 64-bit integer")
         if args.csv and args.command != "iterate":
             raise UsageError(f"{args.command} does not write '--csv'")
+        if args.out:
+            _check_out(args.out)
         record = run_command(
             RunConfig(
                 command=args.command,
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
                 params=params,
             )
         )
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = record.to_json()

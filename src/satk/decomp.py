@@ -9,7 +9,7 @@ reordered to put the cluster first and one triangular Sylvester solve.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -50,7 +50,7 @@ class DunfordDecomposition:
     scalar_part: np.ndarray
     nilpotent_part: np.ndarray
     idempotents: tuple
-    condition_bound: float = field(default=0.0)
+    condition_bound: float
 
     @property
     def dim(self) -> int:

@@ -49,8 +49,6 @@ class Instance:
     eigenvalues: tuple
     generalized_eigenvectors: np.ndarray  # columns, paired with `eigenvalues`
     similarity: np.ndarray
-    seed: int
-    spec: InstanceSpec
 
 
 def _multiplicities(rng, dim, repeat_prob):
@@ -159,6 +157,4 @@ def generate_instance(seed: int, spec: InstanceSpec | None = None) -> Instance:
         eigenvalues=tuple(complex(z) for z in diag),
         generalized_eigenvectors=s_inv,
         similarity=s,
-        seed=int(seed),
-        spec=spec,
     )

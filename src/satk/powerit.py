@@ -49,8 +49,7 @@ class ScaledPower:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    schedule: tuple
-    errors: tuple
+    errors: tuple  # one per n of the schedule, in its order
 
 
 def _positive_int(n) -> int:
@@ -252,14 +251,12 @@ def orbit_log_norms(a, v, n: int) -> np.ndarray:
     reaches zero gets -inf.
     """
     logs = np.zeros(v.shape[1])
-    live = np.ones(v.shape[1], dtype=bool)
     for _ in range(n):
         v = a @ v
         step = np.linalg.norm(v, axis=0)
-        live &= step > 0.0
-        safe = np.where(live, step, 1.0)
-        logs = np.where(live, logs + np.log(safe), -np.inf)
-        v = np.where(live, v / safe, 0.0)
+        with np.errstate(divide="ignore"):
+            logs += np.log(step)  # a norm of 0 makes the log -inf for good
+        v = v / np.where(step > 0.0, step, 1.0)
     return logs
 
 
@@ -305,4 +302,4 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     k = np.asarray(limit_matrix, dtype=np.complex128)
     powers = _power_roots(a, tuple(schedule))
     errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
-    return ConvergenceReport(schedule=tuple(schedule), errors=tuple(errors))
+    return ConvergenceReport(errors=tuple(errors))

@@ -46,8 +46,6 @@ class RunRecord:
     checks: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
-    version: str = ARTIFACT_VERSION
-    rng: str = RNG_NAME
 
     def add_check(self, name: str, value: float, tolerance: float) -> bool:
         value = float(value)
@@ -64,8 +62,8 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
-            "rng": self.rng,
+            "version": ARTIFACT_VERSION,
+            "rng": RNG_NAME,
             "config": self.config.to_dict(),
             "checks": [
                 {

@@ -133,7 +133,7 @@ def vector_exponent_exact(dec: DunfordDecomposition, x) -> float:
 
     The zero vector lies in every range, so it maps to 0.
     """
-    level = _smallest_level(dec, abs, x)
+    level = _smallest_level(dec, np.abs, x)
     return 0.0 if level is None else level
 
 

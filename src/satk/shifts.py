@@ -71,35 +71,6 @@ class WeightSequence:
         return out
 
 
-def explicit(values) -> WeightSequence:
-    return WeightSequence("explicit", values=tuple(values))
-
-
-def harmonic() -> WeightSequence:
-    return WeightSequence("harmonic")
-
-
-def geometric(q: float) -> WeightSequence:
-    return WeightSequence("geometric", ratio=float(q))
-
-
-def constant(c: float) -> WeightSequence:
-    return WeightSequence("constant", level=float(c))
-
-
-def blocks(c: float) -> WeightSequence:
-    return WeightSequence("blocks", level=float(c))
-
-
-@dataclass(frozen=True)
-class MeanTable:
-    """Sliding geometric means alpha[k-1, n-1] = (prod_{i<n} |w_{k+i}|)^(1/n)."""
-
-    start_max: int
-    length_max: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class DetectorResult:
     converged: bool
@@ -107,16 +78,9 @@ class DetectorResult:
     witness: tuple | None = None  # ((k, n), (k', n')) extreme tail cells
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    truncation_dim: int
-    power: int
-    max_deviation: float
-    interior_cells: int
-
-
-def geometric_mean_table(w: WeightSequence, start_max: int, length_max: int) -> MeanTable:
-    """All alpha_{k,n} for k <= start_max, n <= length_max, via log prefix sums."""
+def geometric_mean_table(w: WeightSequence, start_max: int, length_max: int) -> np.ndarray:
+    """The (start_max, length_max) array of sliding geometric means
+    alpha[k-1, n-1] = (prod_{i<n} |w_{k+i}|)^(1/n), via log prefix sums."""
     if start_max < 1 or length_max < 1:
         raise InvalidInput("table dimensions must be at least 1")
     mags = w.weights(start_max + length_max - 1)
@@ -129,10 +93,10 @@ def geometric_mean_table(w: WeightSequence, start_max: int, length_max: int) -> 
     window_zero = zeros[ks + ns - 1] - zeros[ks - 1]
     vals = np.exp(window_sum / ns)
     vals[window_zero > 0] = 0.0
-    return MeanTable(start_max=start_max, length_max=length_max, values=vals)
+    return vals
 
 
-def uniform_limit_detector(table: MeanTable, tol: float = 1e-2) -> DetectorResult:
+def uniform_limit_detector(table: np.ndarray, tol: float = 1e-2) -> DetectorResult:
     """Finite-horizon heuristic for uniform convergence of the mean table.
 
     A finite table cannot certify a limit: this checks that the tail block
@@ -140,15 +104,15 @@ def uniform_limit_detector(table: MeanTable, tol: float = 1e-2) -> DetectorResul
     ``tol`` around its mean.  Non-flat tables yield the pair of extreme cells
     as a witness.
     """
-    tail_window = max(1, table.length_max // _TAIL_FRACTION)
-    tail = table.values[:, table.length_max - tail_window :]
+    tail_window = max(1, table.shape[1] // _TAIL_FRACTION)
+    offset = table.shape[1] - tail_window
+    tail = table[:, offset:]
     alpha_hat = float(tail.mean())
     dev = np.abs(tail - alpha_hat)
     if dev.max() <= tol:
         return DetectorResult(converged=True, alpha=alpha_hat)
     lo = np.unravel_index(np.argmin(tail), tail.shape)
     hi = np.unravel_index(np.argmax(tail), tail.shape)
-    offset = table.length_max - tail_window
     witness = (
         (int(hi[0]) + 1, int(hi[1]) + 1 + offset),
         (int(lo[0]) + 1, int(lo[1]) + 1 + offset),
@@ -180,8 +144,9 @@ def backward_classifier(w: WeightSequence) -> bool:
     return bool(np.max(tail) <= _BACKWARD_TOL)
 
 
-def shift_power_crosscheck(w: WeightSequence, m: int, n: int) -> CrosscheckReport:
-    """Verify the interior diagonal of |F^n|^(1/n) of a truncation against the mean table.
+def shift_power_crosscheck(w: WeightSequence, m: int, n: int) -> float:
+    """Largest deviation of the interior diagonal of |F^n|^(1/n) of a
+    truncation from the mean table, over its m - n interior cells.
 
     |F^n|^2 is exactly diagonal with entries prod |w|^2 over the sliding
     window, so the comparison isolates index bookkeeping and roundoff.
@@ -203,10 +168,4 @@ def shift_power_crosscheck(w: WeightSequence, m: int, n: int) -> CrosscheckRepor
     roots = np.exp(logs / n)
     interior = m - n
     table = geometric_mean_table(w, interior, n)
-    deviation = np.abs(roots[:interior] - table.values[:, n - 1])
-    return CrosscheckReport(
-        truncation_dim=m,
-        power=n,
-        max_deviation=float(deviation.max()),
-        interior_cells=interior,
-    )
+    return float(np.abs(roots[:interior] - table[:, n - 1]).max())

@@ -19,6 +19,7 @@ from satk.semigroup import (
     halfplane_resolution,
     semigroup_limit,
 )
+from satk.shifts import WeightSequence
 from satk.cli import run_command
 from satk.records import RunConfig
 
@@ -58,7 +59,7 @@ def main_family():
         yamamoto_errors.append(
             float(np.max(np.abs(yamamoto_limits(inst.matrix, N_MAIN) - expected)))
         )
-        vec_rng = np.random.default_rng(inst.seed + 999)
+        vec_rng = np.random.default_rng(SEED_BASE + i + 999)
         cols = [inst.generalized_eigenvectors[:, j] for j in range(dim)]
         for _ in range(5):
             c = vec_rng.standard_normal(dim) + 1j * vec_rng.standard_normal(dim)
@@ -357,7 +358,7 @@ def test_discrete_continuous_agreement():
 
 
 def test_shift_harmonic_geometric_converge():
-    for w in (shifts.harmonic(), shifts.geometric(0.5)):
+    for w in (WeightSequence("harmonic"), WeightSequence("geometric", ratio=0.5)):
         table = shifts.geometric_mean_table(w, 64, 256)
         det = shifts.uniform_limit_detector(table)
         assert det.converged
@@ -365,24 +366,28 @@ def test_shift_harmonic_geometric_converge():
 
 
 def test_shift_constant_converges_to_level():
-    table = shifts.geometric_mean_table(shifts.constant(1.5), 64, 256)
+    table = shifts.geometric_mean_table(WeightSequence("constant", level=1.5), 64, 256)
     det = shifts.uniform_limit_detector(table)
     assert det.converged
     assert abs(det.alpha - 1.5) <= 1e-10
 
 
 def test_shift_blocks_not_converged():
-    table = shifts.geometric_mean_table(shifts.blocks(2.0), 64, 256)
+    table = shifts.geometric_mean_table(WeightSequence("blocks", level=2.0), 64, 256)
     assert not shifts.uniform_limit_detector(table).converged
 
 
 def test_shift_power_crosscheck_all_kinds():
-    for w in (shifts.harmonic(), shifts.geometric(0.5), shifts.constant(1.5), shifts.blocks(2.0)):
-        report = shifts.shift_power_crosscheck(w, 256, 32)
-        assert report.max_deviation <= 1e-10
+    for w in (
+        WeightSequence("harmonic"),
+        WeightSequence("geometric", ratio=0.5),
+        WeightSequence("constant", level=1.5),
+        WeightSequence("blocks", level=2.0),
+    ):
+        assert shifts.shift_power_crosscheck(w, 256, 32) <= 1e-10
     # past n = 128, where the public vector estimator would switch to flag
     # rates; blocks keep the window means of order one, so a wrong kernel shows
-    assert shifts.shift_power_crosscheck(shifts.blocks(2.0), 400, 150).max_deviation <= 1e-10
+    assert shifts.shift_power_crosscheck(WeightSequence("blocks", level=2.0), 400, 150) <= 1e-10
 
 
 # --- Determinism --------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import satk
-from satk import decomp, linalg
+from satk import cli, decomp, linalg
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
 from satk.instances import InstanceSpec, generate_instance
@@ -281,6 +281,48 @@ def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, argv, key):
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        pytest.param(["--seed", "3"], "--seed", id="seed"),
+        pytest.param(["--config", '{"instance": {"dim": 3}}'], "instance", id="instance"),
+    ],
+)
+def test_cli_input_reads_no_seed_and_no_instance(tmp_path, capsys, extra, key):
+    # the matrix of --input is the source: a --seed or an instance beside it
+    # would be ignored, yet named in the record's config
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(FIXTURE_JSON)
+    assert main(["limit", "--input", str(src), *extra, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out, number", [("missing/x.json", errno.ENOENT), (".", errno.EISDIR)])
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, out, number):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_command", lambda config: pytest.fail("the command ran"))
+    assert main(["sweep", "--seed", "42", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {number}]")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", [{"kind": "triangular"}, {"kind": "explicit"}])
+def test_cli_bad_weight_kind_is_recorded(tmp_path, config):
+    out = tmp_path / "rec.json"
+    assert main(["shift", "--config", json.dumps(config), "--out", str(out)]) == 1
+    rec = json.loads(out.read_text())
+    assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "shift")]
+
+
+def test_vector_exponent_levels_are_limit_moduli():
+    # both commands read one modulus resolution of the matrix: every exact
+    # exponent is one of limit's moduli, bit for bit
+    exact = run_command(RunConfig(command="vector-exponent", seed=3)).to_dict()["results"]["exact"]
+    moduli = run_command(RunConfig(command="limit", seed=3)).to_dict()["results"]["moduli"]
+    assert set(exact) <= set(moduli)
 
 
 def test_cli_shift_means_after_a_zero_weight(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satk import linalg
+from satk import linalg, resolution
 from satk.decomp import dunford, single_linkage
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
@@ -15,7 +15,7 @@ from satk.resolution import (
     vector_exponent_exact,
 )
 
-from conftest import dt_like, random_complex, random_projection
+from conftest import clear_memos, dt_like, random_complex, random_projection
 from oracles import range_oracle
 
 
@@ -104,6 +104,18 @@ def test_vector_exponent_exact_levels():
     # a generic combination picks up the top level
     x = inst.generalized_eigenvectors.sum(axis=1)
     assert vector_exponent_exact(dec, x) == pytest.approx(res.levels[-1], abs=1e-8)
+
+
+def test_vector_exponent_exact_reads_the_modulus_resolution():
+    # one level resolution per matrix: the exact exponent is read off the
+    # memoized resolution that modulus_resolution built, so it is one of its
+    # levels bit for bit
+    a = generate_instance(904, InstanceSpec(dim=5)).matrix
+    clear_memos()
+    dec = dunford(a)
+    levels = modulus_resolution(dec).levels
+    assert vector_exponent_exact(dec, np.ones(5)) in levels
+    assert resolution._resolution.cache_info().misses == 1
 
 
 def test_vector_exponent_exact_zero_vector():

@@ -6,71 +6,73 @@ from hypothesis import strategies as st
 
 from satk import shifts
 from satk.errors import InvalidInput
+from satk.shifts import WeightSequence
 from satk.powerit import orbit_log_norms
 
 from oracles import truncate_backward
 
 
 def test_weight_kinds_values():
-    assert shifts.harmonic().weights(3) == pytest.approx([1 / 2, 1 / 3, 1 / 4])
-    assert shifts.geometric(0.5).weights(3) == pytest.approx([0.5, 0.25, 0.125])
-    assert shifts.constant(2.5).weights(3) == pytest.approx([2.5, 2.5, 2.5])
+    assert WeightSequence("harmonic").weights(3) == pytest.approx([1 / 2, 1 / 3, 1 / 4])
+    assert WeightSequence("geometric", ratio=0.5).weights(3) == pytest.approx([0.5, 0.25, 0.125])
+    assert WeightSequence("constant", level=2.5).weights(3) == pytest.approx([2.5, 2.5, 2.5])
     # blocks of lengths 1, 2, 4 alternating c and 1/c
-    assert shifts.blocks(2.0).weights(7) == pytest.approx([2, 0.5, 0.5, 2, 2, 2, 2])
-    assert shifts.explicit([1.0, -2.0]).weights(2) == pytest.approx([1.0, 2.0])
+    assert WeightSequence("blocks", level=2.0).weights(7) == pytest.approx([2, 0.5, 0.5, 2, 2, 2, 2])
+    assert WeightSequence("explicit", values=(1.0, -2.0)).weights(2) == pytest.approx([1.0, 2.0])
 
 
 def test_weight_validation():
     with pytest.raises(InvalidInput):
-        shifts.geometric(1.5)
+        WeightSequence("geometric", ratio=1.5)
     with pytest.raises(InvalidInput):
-        shifts.constant(0.0)
+        WeightSequence("constant", level=0.0)
     with pytest.raises(InvalidInput):
-        shifts.blocks(1.0)
+        WeightSequence("blocks", level=1.0)
     with pytest.raises(InvalidInput):
-        shifts.explicit([])
+        WeightSequence("explicit", values=())
     with pytest.raises(InvalidInput):
-        shifts.explicit([1.0]).weights(2)
+        WeightSequence("explicit", values=(1.0,)).weights(2)
 
 
 def test_geometric_mean_table_matches_direct():
-    w = shifts.harmonic()
+    w = WeightSequence("harmonic")
     table = shifts.geometric_mean_table(w, 8, 8)
     mags = w.weights(15)
     for k in range(1, 9):
         for n in range(1, 9):
             direct = np.prod(mags[k - 1 : k + n - 1]) ** (1.0 / n)
-            assert table.values[k - 1, n - 1] == pytest.approx(direct, rel=1e-12)
+            assert table[k - 1, n - 1] == pytest.approx(direct, rel=1e-12)
 
 
 def test_geometric_mean_table_zero_weights():
-    table = shifts.geometric_mean_table(shifts.explicit([1.0, 0.0, 2.0, 8.0]), 3, 2)
-    assert table.values[0, 1] == 0.0  # window covering w_2 = 0
-    assert table.values[0, 0] == pytest.approx(1.0)
-    assert table.values[2, 0] == 2.0  # window [w_3], after the zero
-    assert table.values[2, 1] == pytest.approx(4.0)
+    w = WeightSequence("explicit", values=(1.0, 0.0, 2.0, 8.0))
+    table = shifts.geometric_mean_table(w, 3, 2)
+    assert table[0, 1] == 0.0  # window covering w_2 = 0
+    assert table[0, 0] == pytest.approx(1.0)
+    assert table[2, 0] == 2.0  # window [w_3], after the zero
+    assert table[2, 1] == pytest.approx(4.0)
 
 
 def test_detector_constant_recovers_level():
-    table = shifts.geometric_mean_table(shifts.constant(1.5), 64, 256)
+    table = shifts.geometric_mean_table(WeightSequence("constant", level=1.5), 64, 256)
     det = shifts.uniform_limit_detector(table)
     assert det.converged
     assert det.alpha == pytest.approx(1.5, abs=1e-10)
 
 
 def test_detector_blocks_not_converged_with_witness():
-    table = shifts.geometric_mean_table(shifts.blocks(2.0), 64, 256)
+    table = shifts.geometric_mean_table(WeightSequence("blocks", level=2.0), 64, 256)
     det = shifts.uniform_limit_detector(table)
     assert not det.converged
     (k1, n1), (k2, n2) = det.witness
     # witness cells must be real table cells with genuinely different means
-    v1 = table.values[k1 - 1, n1 - 1]
-    v2 = table.values[k2 - 1, n2 - 1]
+    v1 = table[k1 - 1, n1 - 1]
+    v2 = table[k2 - 1, n2 - 1]
     assert v1 - v2 > 1e-2
 
 
 def test_truncation_layouts():
-    w = shifts.explicit([1.0, 2.0, 3.0, 4.0])
+    w = WeightSequence("explicit", values=(1.0, 2.0, 3.0, 4.0))
     f = shifts.truncate_forward(w, 4)
     b = truncate_backward(w, 4)
     expect_f = np.zeros((4, 4))
@@ -85,18 +87,23 @@ def test_truncation_layouts():
 
 
 def test_backward_classifier():
-    assert shifts.backward_classifier(shifts.harmonic())
-    assert shifts.backward_classifier(shifts.geometric(0.9))
-    assert not shifts.backward_classifier(shifts.constant(1.0))
-    assert not shifts.backward_classifier(shifts.blocks(2.0))
-    assert shifts.backward_classifier(shifts.explicit([1.0] * 8 + [0.0] * 8))
-    assert not shifts.backward_classifier(shifts.explicit([1.0] * 16))
+    assert shifts.backward_classifier(WeightSequence("harmonic"))
+    assert shifts.backward_classifier(WeightSequence("geometric", ratio=0.9))
+    assert not shifts.backward_classifier(WeightSequence("constant", level=1.0))
+    assert not shifts.backward_classifier(WeightSequence("blocks", level=2.0))
+    assert shifts.backward_classifier(WeightSequence("explicit", values=(1.0,) * 8 + (0.0,) * 8))
+    assert not shifts.backward_classifier(WeightSequence("explicit", values=(1.0,) * 16))
 
 
 @pytest.mark.parametrize("m, n", [(256, 32), (400, 150)])
 @pytest.mark.parametrize(
     "w",
-    [shifts.harmonic(), shifts.geometric(0.3), shifts.constant(1.3), shifts.blocks(2.0)],
+    [
+        WeightSequence("harmonic"),
+        WeightSequence("geometric", ratio=0.3),
+        WeightSequence("constant", level=1.3),
+        WeightSequence("blocks", level=2.0),
+    ],
     ids=lambda w: w.kind,
 )
 def test_sparse_orbit_is_dense_orbit(w, m, n):
@@ -108,9 +115,24 @@ def test_sparse_orbit_is_dense_orbit(w, m, n):
     assert sparse.tobytes() == orbit_log_norms(f, v, n).tobytes()
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_orbit_log_norms_of_dying_columns(sparse):
+    # a column whose norm reaches 0, by underflow (|1e-170|^2 is below the
+    # smallest float) or exactly, reads -inf from that step on
+    a = np.zeros((4, 4), dtype=np.complex128)
+    a[0, 0], a[2, 1], a[3, 3] = 1e-170, 1.0, 0.5
+    if sparse:
+        a = scipy.sparse.csr_array(a)
+    v = np.eye(4, dtype=np.complex128)
+    assert orbit_log_norms(a, v, 1).tolist() == [-np.inf, 0.0, -np.inf, np.log(0.5)]
+    logs = orbit_log_norms(a, v, 3)
+    assert logs[:3].tolist() == [-np.inf] * 3
+    assert logs[3] == pytest.approx(3 * np.log(0.5), rel=1e-15)
+
+
 def test_crosscheck_guards():
     with pytest.raises(InvalidInput):
-        shifts.shift_power_crosscheck(shifts.harmonic(), 16, 9)
+        shifts.shift_power_crosscheck(WeightSequence("harmonic"), 16, 9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,9 +141,9 @@ def test_crosscheck_guards():
     st.integers(min_value=1, max_value=4),
 )
 def test_property_crosscheck_explicit(values, n):
-    w = shifts.explicit(values)
+    w = WeightSequence("explicit", values=tuple(values))
     m = len(values) - 1
     if n > m // 2:
         return
     report = shifts.shift_power_crosscheck(w, m, n)
-    assert report.max_deviation < 1e-9
+    assert report < 1e-9
