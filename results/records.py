@@ -13,7 +13,8 @@ Two record sets, both written with CHECKOUT's ``src`` and ``bench``:
   ``decompose``, ``limit``, ``vector-exponent`` and ``semigroup`` in turn on
   each of the 171 files of one ``resolution`` round (seed 301).
 
-A record names its input file, so compare two checkouts with the same WORKDIR,
+Every record must be strict JSON: a ``NaN``, ``Infinity`` or ``-Infinity``
+in one stops the script with an error.  A record names its input file, so compare two checkouts with the same WORKDIR,
 one after the other: equal OUT files mean byte-identical records and equal
 exit statuses.  OUT names each run by its arguments, with WORKDIR spelled
 ``WORKDIR``.  With KEEP, each record is also copied to KEEP/fresh/I.json or
@@ -68,8 +69,14 @@ def input_files(workdir: Path) -> list:
     return paths
 
 
+def not_strict(constant: str):
+    raise ValueError(f"record is not strict JSON: it holds {constant}")
+
+
 def digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    data = path.read_bytes()
+    json.loads(data, parse_constant=not_strict)
+    return hashlib.sha256(data).hexdigest()
 
 
 def kept(keep, name: str, rows: list, out: Path):

@@ -9,8 +9,10 @@ reads neither ``--input`` nor ``--seed``, ``sweep`` only ``--seed``), a
 missing source (any other command needs ``--input`` or ``--seed``, ``sweep``
 needs ``--seed``), both ``--input`` and ``--seed``, an ``instance`` with
 ``--input``, an ``--input`` that names no file, a ``--config`` that is
-neither a file nor a JSON object and ``--csv`` on a command other than
-``iterate`` are usage errors (exit 2, no record).  So is an ``--out`` that
+neither a file nor a JSON object, a non-finite number anywhere in ``--config``
+(``NaN``, ``Infinity``, ``-Infinity`` or one past float range such as
+``1e400``: a record must stay strict JSON) and ``--csv`` on a command other
+than ``iterate`` are usage errors (exit 2, no record).  So is an ``--out`` that
 names a directory or lies in no directory, before the command runs; an
 ``--out`` (or its CSV) that cannot be written for another reason exits 2
 after the command has run.
@@ -23,6 +25,7 @@ import errno
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,11 +63,18 @@ _DEFAULT_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _SOURCES = {"shift": (), "sweep": ("seed",)}
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"'--config' holds the non-finite number {text}")
+    return value
+
+
 def _load_config(text):
     if text is None:
         return {}
     try:
-        obj = json.loads(read_source(text))
+        obj = json.loads(read_source(text), parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise UsageError(f"'--config' is no file and no JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -234,6 +244,9 @@ _DISPATCH = {
 }
 
 
+_signature = functools.cache(inspect.signature)
+
+
 def run_command(config: RunConfig) -> RunRecord:
     """Run one command; each usage error the module docstring lists raises UsageError."""
     cmd = _DISPATCH.get(config.command)
@@ -241,7 +254,7 @@ def run_command(config: RunConfig) -> RunRecord:
         raise UsageError(f"unknown command {config.command!r}")
     record = RunRecord(config=config)
     try:
-        bound = inspect.signature(cmd).bind(record, config, **config.params)
+        bound = _signature(cmd).bind(record, config, **config.params)
     except TypeError as exc:
         raise UsageError(f"{config.command}: {exc}") from None
     try:

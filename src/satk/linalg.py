@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels: validation, norms and range projections.
+"""Dense complex linear-algebra kernels: validation, SVD, norms and range projections.
 
 All operations act on square ``numpy`` arrays of ``complex128`` and are pure:
 inputs are never mutated and results are freshly allocated.
@@ -7,6 +7,7 @@ inputs are never mutated and results are freshly allocated.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidInput
 
@@ -21,9 +22,27 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def svd(a, compute_uv: bool = True):
+    """``np.linalg.svd(a, compute_uv=compute_uv)``, bytes included, without numpy's gufunc layer.
+
+    Complex input goes straight to LAPACK's ``zgesdd`` with job ``'A'`` (or
+    ``'N'``), the routine and job numpy calls; U and V* come back C-ordered,
+    as numpy's do.  Other dtypes take numpy's own call.
+    """
+    a = np.asarray(a)
+    if a.dtype != np.complex128:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    u, s, vh, info = lapack.zgesdd(a, compute_uv=int(compute_uv))
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if not compute_uv:
+        return s
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
+
+
 def norm2(a) -> float:
     """Spectral norm: the largest singular value, as ``np.linalg.norm(a, 2)`` computes it."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(svd(a, compute_uv=False)[0])
 
 
 def default_rank_tol(m: int) -> float:
@@ -34,7 +53,7 @@ def default_rank_tol(m: int) -> float:
 def range_projection(t, rank_tol: float | None = None) -> np.ndarray:
     """Orthogonal projection onto the range of T (left singular vectors above the rank cut)."""
     t = as_matrix(t)
-    u, s, _ = np.linalg.svd(t)
+    u, s, _ = svd(t)
     if s[0] == 0.0:
         return np.zeros_like(t)
     rtol = rank_tol if rank_tol is not None else default_rank_tol(t.shape[0])

@@ -56,29 +56,24 @@ def _parse_mm_lines(lines) -> np.ndarray:
         except (ValueError, IndexError):
             raise ParseError("malformed numeric entry", line=no)
 
+    data = body[1:]
+    count = rows * cols if layout == "array" else sizes[2]
+    if len(data) != count:  # before allocating: the size line alone sets the allocation
+        raise ParseError(
+            f"expected {count} entries, found {len(data)}",
+            line=data[-1][0] if data else size_no,
+        )
     value_width = 2 if field == "complex" else 1
     out = np.zeros((rows, cols), dtype=np.complex128)
-    data = body[1:]
 
     if layout == "array":
         # column-major scan, one entry per line
-        if len(data) != rows * cols:
-            raise ParseError(
-                f"expected {rows * cols} entries, found {len(data)}",
-                line=data[-1][0] if data else size_no,
-            )
         for idx, (no, text) in enumerate(data):
             toks = text.split()
             if len(toks) != value_width:
                 raise ParseError("malformed numeric entry", line=no)
             out[idx % rows, idx // rows] = value_of(toks, no)
     else:
-        nnz = sizes[2]
-        if len(data) != nnz:
-            raise ParseError(
-                f"expected {nnz} entries, found {len(data)}",
-                line=data[-1][0] if data else size_no,
-            )
         for no, text in data:
             toks = text.split()
             if len(toks) != 2 + value_width:
@@ -97,7 +92,7 @@ def _parse_json_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ParseError("JSON matrix needs 'dim' and 'entries' fields")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # JSON true is no dimension
         raise ParseError("'dim' must be a positive integer")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
@@ -107,10 +102,13 @@ def _parse_json_obj(obj) -> np.ndarray:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(type(v) in (int, float) for v in pair)
         ):
             raise ParseError(f"entry {idx} is not a [re, im] pair")
-        flat[idx] = complex(pair[0], pair[1])
+        try:
+            flat[idx] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer past float range
+            raise InvalidInput("matrix has non-finite entries") from None
     return flat.reshape(dim, dim)
 
 

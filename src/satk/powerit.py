@@ -145,7 +145,7 @@ def _block_power(a):
         for k, ak in ((8, a4 @ a4), (4, a4), (2, a2)):
             if not np.isfinite(ak).all():
                 continue
-            s = np.linalg.svd(ak, compute_uv=False)
+            s = linalg.svd(ak, compute_uv=False)
             if s[-1] >= max(_BLOCK_SPREAD_FLOOR * s[0], _BLOCK_SINGULAR_FLOOR):
                 return k, ak
     return 1, a
@@ -215,7 +215,7 @@ def _power_roots(a, ns):
         if sp.is_zero:
             out[n] = np.eye(m, dtype=np.complex128), np.zeros(m)
             continue
-        _, s, vh = np.linalg.svd(sp.unit)
+        _, s, vh = linalg.svd(sp.unit)
         if n <= _EXACT_N_MAX or s[-1] >= _EXACT_SPREAD_FLOOR * s[0]:
             out[n] = vh.conj().T, np.exp(sp.log_scale / n) * s ** (1.0 / n)
     flag_ns = tuple(n for n in ns if n not in out)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import stat
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -81,7 +81,40 @@ class RunRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        return _dumps(self.to_dict()) + "\n"
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``, byte for byte.
+
+    With an indent, ``json.dumps`` always runs its pure-Python encoder: a
+    generator per container and a yield per token.  This returns the same
+    bytes with one join per container, and writes a finite float inside a
+    list without a call.  ``pad`` is the newline and indent of ``obj``'s line.
+    """
+    if isinstance(obj, (list, tuple)):
+        inner = pad + " "
+        items = [float.__repr__(v) if type(v) is float and v - v == 0.0 else _dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, dict):
+        inner = pad + " "
+        items = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _jsonable(obj):
@@ -93,9 +126,9 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # "inf" / "-inf" / "nan": JSON has no spelling for these
     return obj

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satk
-from satk import cli, decomp, linalg
+from satk import cli, decomp, linalg, records
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
 from satk.instances import InstanceSpec, generate_instance
@@ -439,3 +441,157 @@ def test_one_version_string():
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
     assert version == satk.__version__ == ARTIFACT_VERSION
+
+
+@pytest.mark.parametrize(
+    "config, number",
+    [
+        ('{"tol": NaN}', "NaN"),
+        ('{"tol": Infinity}', "Infinity"),
+        ('{"tol": -Infinity}', "-Infinity"),
+        ('{"tol": 1e400}', "1e400"),
+        ('{"instance": {"perturbation": -1e400}}', "-1e400"),
+    ],
+)
+def test_cli_non_finite_config_is_usage_error(tmp_path, capsys, config, number):
+    # json.loads reads all five as floats; a record must stay strict JSON and
+    # an infinite tolerance would make a check that cannot fail
+    out = tmp_path / "rec.json"
+    assert main(["limit", "--seed", "1", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: '--config' holds the non-finite number {number}\n"
+
+
+@pytest.mark.parametrize(
+    "value, written",
+    [
+        (np.float64("nan"), "nan"),
+        (np.float32("-inf"), "-inf"),
+        (complex(math.inf, 1.0), ["inf", 1.0]),
+        (np.complex128(complex(0.0, math.nan)), [0.0, "nan"]),
+        (np.array([[math.inf + 0j]]), [[["inf", 0.0]]]),
+    ],
+)
+def test_record_spells_non_finite_results_as_strings(value, written):
+    # a numpy scalar or a complex part must not reach the writer as a bare
+    # NaN or Infinity, which no strict JSON reader accepts
+    rec = records.RunRecord(RunConfig(command="limit"), results={"x": value})
+    assert json.loads(rec.to_json(), parse_constant=pytest.fail)["results"]["x"] == written
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, math.nan, math.inf, -math.inf]
+)
+_JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", " é", "😀\ud800"])
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, -(2**64) - 1, 10**30])
+    | _JSON_FLOATS | _JSON_STRINGS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_STRINGS, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_TREES)
+def test_record_writer_is_json_dumps(tree):
+    assert records._dumps(tree) == json.dumps(tree, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def _matrix_market(a, layout):
+    rows = [f"%%MatrixMarket matrix {layout} complex general", "% written by the test"]
+    m, z = a.shape[0], a.tolist()
+    if layout == "array":  # column-major, one entry per line
+        rows.append(f"{m} {m}")
+        rows += [f"{z[i][j].real!r} {z[i][j].imag!r}" for j in range(m) for i in range(m)]
+    else:
+        cells = [(i, j) for i in range(m) for j in range(m) if z[i][j] != 0]
+        rows.append(f"{m} {m} {len(cells)}")
+        rows += [f"{i + 1} {j + 1} {z[i][j].real!r} {z[i][j].imag!r}" for i, j in cells]
+    return "\n".join(rows) + "\n"
+
+
+_ENTRIES = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e300)
+_MATRICES = st.integers(1, 4).flatmap(
+    lambda m: st.lists(_ENTRIES | st.just(0j), min_size=m * m, max_size=m * m).map(
+        lambda v: np.array(v, dtype=np.complex128).reshape(m, m)
+    )
+)
+_BODIES = st.one_of(
+    _MATRICES.map(lambda a: json.dumps(matrix_to_json(a))),
+    _MATRICES.map(lambda a: _matrix_market(a, "array")),
+    _MATRICES.map(lambda a: _matrix_market(a, "coordinate")),
+)
+
+
+def _parse_or_refuse(text):
+    """parse_matrix may refuse a text only with ParseError or InvalidInput."""
+    try:
+        parse_matrix(text)
+    except (ParseError, InvalidInput):
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(_MATRICES, st.sampled_from(["json", "array", "coordinate"]))
+def test_parse_matrix_roundtrips_valid_bodies(a, form):
+    text = json.dumps(matrix_to_json(a)) if form == "json" else _matrix_market(a, form)
+    assert parse_matrix(text).tobytes() == a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_parse_matrix_fuzz_arbitrary_text(text):
+    _parse_or_refuse(text)
+
+
+_JSON_VALUES = st.sampled_from([10**400, -(10**309), 0, -1, True, None, "1", math.nan, math.inf, [], {}]) | (
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MATRICES, st.data())
+def test_parse_matrix_fuzz_near_valid_json(a, data):
+    # one field or one entry of a valid body replaced by any JSON value
+    obj = matrix_to_json(a)
+    path = data.draw(st.sampled_from(["dim", "entries", "entry", "part", "extra"]))
+    value = data.draw(_JSON_VALUES)
+    if path in ("dim", "entries"):
+        obj[path] = value
+    elif path == "extra":
+        obj[data.draw(st.text(max_size=4))] = value
+    else:
+        idx = data.draw(st.integers(0, len(obj["entries"]) - 1))
+        if path == "entry":
+            obj["entries"][idx] = value
+        else:
+            obj["entries"][idx][data.draw(st.integers(0, 1))] = value
+    _parse_or_refuse(json.dumps(obj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BODIES, st.data())
+def test_parse_matrix_fuzz_near_valid_bodies(text, data):
+    # a valid body with one cut, one token replaced, or one line dropped or repeated
+    edit = data.draw(st.sampled_from(["cut", "token", "drop", "repeat"]))
+    if edit == "cut":
+        text = text[: data.draw(st.integers(0, len(text)))]
+    else:
+        lines = text.split("\n")
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if edit == "token":
+            toks = lines[i].split(" ")
+            toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(
+                st.text(max_size=6) | st.sampled_from(["-1", "0", "99", "nan", "inf", "1e999", "1.5"])
+            )
+            lines[i] = " ".join(toks)
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        text = "\n".join(lines)
+    _parse_or_refuse(text)

@@ -36,6 +36,43 @@ def test_norm2_is_numpy_spectral_norm(rng):
         assert linalg.norm2(x) == float(np.linalg.norm(x, 2))
 
 
+def _svd_cases(rng):
+    for m in range(1, 9):
+        for scale in (1.0, 1e150, 1e-150):
+            yield random_complex(rng, (m, m), scale)
+            if m > 1:  # rank m - 1: the first column repeats the last
+                a = random_complex(rng, (m, m), scale)
+                a[:, 0] = a[:, -1]
+                yield a
+        yield np.zeros((m, m), dtype=complex)
+
+
+def test_svd_is_numpy_svd_byte_for_byte(rng):
+    for a in _svd_cases(rng):
+        assert linalg.svd(a, compute_uv=False).tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+        for got, want in zip(linalg.svd(a), np.linalg.svd(a), strict=True):
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, -np.inf])
+@pytest.mark.parametrize("compute_uv", [True, False])
+def test_svd_of_non_finite_input_is_numpy_svd(bad, compute_uv):
+    # NaN makes zgesdd refuse (info = -4), which numpy reports as below; an
+    # infinity passes LAPACK's check and both return NaN values
+    a = np.array([[1.0, 2.0], [bad, 3.0]], dtype=complex)
+    if np.isnan(bad):
+        for svd in (np.linalg.svd, linalg.svd):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                svd(a, compute_uv=compute_uv)
+        return
+    got, want = linalg.svd(a, compute_uv), np.linalg.svd(a, compute_uv=compute_uv)
+    if not compute_uv:
+        got, want = [got], [want]
+    for x, y in zip(got, want, strict=True):
+        assert np.array_equal(x, y, equal_nan=True)
+
+
 def test_as_hermitian_rejects_skew(rng):
     b = random_complex(rng, (4, 4))
     with pytest.raises(InvalidInput):
