@@ -2,7 +2,9 @@
 
 The JSON schema is {"dim": m, "entries": [[re, im], ...]} with m*m entries in
 row-major order.  Matrix Market support covers array and coordinate layouts
-with real, integer, or complex general matrices.
+with real, integer, or complex general matrices.  Either format is refused,
+before the matrix is allocated, when it declares a matrix that is not square
+or whose dimension passes ``MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,17 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, ParseError
+
+# The largest dimension read.  A coordinate size line alone sets the size of
+# the dense matrix, whatever the entries; 1024 x 1024 complex is 16 MB.
+MAX_DIM = 1024
+
+
+def _check_dim(rows, cols):
+    if rows != cols:
+        raise InvalidInput(f"matrix is {rows}x{cols}, expected square")
+    if rows > MAX_DIM:
+        raise InvalidInput(f"matrix dimension {rows} exceeds the limit of {MAX_DIM}")
 
 
 def _parse_mm_lines(lines) -> np.ndarray:
@@ -47,6 +60,7 @@ def _parse_mm_lines(lines) -> np.ndarray:
     rows, cols = sizes[0], sizes[1]
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive", line=size_no)
+    _check_dim(rows, cols)
 
     def value_of(toks, no):
         try:
@@ -94,6 +108,7 @@ def _parse_json_obj(obj) -> np.ndarray:
     dim = obj["dim"]
     if type(dim) is not int or dim < 1:  # JSON true is no dimension
         raise ParseError("'dim' must be a positive integer")
+    _check_dim(dim, dim)
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ParseError(f"'entries' must hold {dim * dim} [re, im] pairs")
@@ -144,7 +159,5 @@ def parse_matrix(source) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, line=exc.lineno)
         mat = _parse_json_obj(obj)
-    if mat.shape[0] != mat.shape[1]:
-        raise InvalidInput(f"matrix is {mat.shape[0]}x{mat.shape[1]}, expected square")
     return linalg.as_matrix(mat)
 

@@ -102,32 +102,43 @@ def _scaled_powers(a, ns) -> list:
 
 # --- QR-accumulation flag runs ------------------------------------------------
 
-def _flag_steps(a, q, logs, count):
-    """count steps a @ q = q' r by LAPACK Householder QR; returns the last q'
-    and logs plus the sum of every step's log|r_jj|.
+def _flag_steps(a, q, diagonals):
+    """len(diagonals) steps a @ q = q' r by LAPACK Householder QR; writes each
+    step's r diagonal to its row of diagonals and returns the last q'.
 
     The product is numpy's ``a @ q`` bit for bit: numpy forms a row-major
     product as zgemm on the transposes, here ``zgemm(q, a.T, trans_a=1)``
     on the F-contiguous view a.T, without matmul's dispatch.  At m = 1 numpy
-    takes its dot path instead, so that case keeps ``a @ q``.  The r
-    diagonals are kept, (count, m) complex, and summed after the loop in
-    step order, the sums a running ``logs + log|r_jj|`` makes.  Callers run
-    under ``np.errstate(divide="ignore")``: a singular step gives
-    log 0 = -inf.
+    takes its dot path instead, so that case keeps ``a @ q``.  The routines
+    are looked up per call, not at import, so a patched ``lapack`` is seen.
     """
+    gemm, geqrf, ungqr = blas.zgemm, lapack.zgeqrf, lapack.zungqr
+    if q.shape[0] == 1:
+
+        def gemm(_alpha, q, _at, trans_a):
+            return a @ q  # 1 x 1, so the loop's .T changes nothing
+
     at = a.T
-    diagonals = np.empty((count, q.shape[0]), dtype=np.complex128)
-    for i in range(count):
-        aq = a @ q if q.shape[0] == 1 else blas.zgemm(1.0, q, at, trans_a=1).T
-        qr, tau, _, info = lapack.zgeqrf(aq, overwrite_a=1)
+    for row in diagonals:
+        qr, tau, _, info = geqrf(gemm(1.0, q, at, trans_a=1).T, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgeqrf failed with info={info}")
-        diagonals[i] = qr.diagonal()
-        q, _, info = lapack.zungqr(qr, tau, overwrite_a=1)
+        row[:] = qr.diagonal()
+        q, _, info = ungqr(qr, tau, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zungqr failed with info={info}")
-    steps = np.log(np.abs(diagonals))
-    return q, np.add.accumulate(np.vstack((logs, steps)), axis=0)[-1]
+    return q
+
+
+def _log_sums(start, diagonals):
+    """Row i is start plus log|r_jj| of steps 1..i (rows of diagonals), summed
+    in step order: the sums a running ``logs + log|r_jj|`` makes.  Callers
+    run under ``np.errstate(divide="ignore")``: a singular step gives
+    log 0 = -inf."""
+    logs = np.empty((len(diagonals) + 1, len(start)))
+    logs[0] = start
+    np.log(np.abs(diagonals), out=logs[1:])
+    return np.add.accumulate(logs, axis=0)
 
 
 def _block_power(a):
@@ -168,15 +179,19 @@ def _flag_run(key: bytes, m: int, ns: tuple):
     a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
     k, ak = _block_power(a)
     points = sorted(set(ns) | {n - max(1, n // 4) for n in ns})
+    trunk = np.empty((points[-1] // k, m), dtype=np.complex128)
+    q, done, branches = np.eye(m, dtype=np.complex128), 0, {}
+    for p in points:
+        q = _flag_steps(ak, q, trunk[done : p // k])
+        done = p // k
+        steps = np.empty((p % k, m), dtype=np.complex128)
+        branches[p] = _flag_steps(a, q, steps) if p % k else q, steps
     at = {}
-    q, logs = np.eye(m, dtype=np.complex128), np.zeros(m)
-    done = 0
     with np.errstate(divide="ignore"):
-        for p in points:
-            blocks = (p - done) // k
-            q, logs = _flag_steps(ak, q, logs, blocks)
-            done += blocks * k
-            at[p] = _flag_steps(a, q, logs, p - done)
+        trunk_logs = _log_sums(np.zeros(m), trunk)  # row b: the logs after b blocks
+        for p, (q, steps) in branches.items():
+            logs = trunk_logs[p // k]
+            at[p] = q, _log_sums(logs, steps)[-1] if p % k else logs
     out = []
     for n in ns:
         q, logs = at[n]
@@ -199,17 +214,21 @@ def _right_flag(a, ns):
     return _flag_run(a.conj().T.tobytes(), a.shape[0], ns)
 
 
-def _power_roots(a, ns):
+@functools.lru_cache(maxsize=64)
+def _power_roots(key: bytes, m: int, ns: tuple):
     """(V, roots) with |A^n|^(1/n) = V diag(roots) V* for each n in the
-    strictly increasing tuple ns; roots are s_j(A^n)^(1/n).
+    strictly increasing tuple ns, A the m x m matrix with A.tobytes() == key;
+    roots are s_j(A^n)^(1/n).
 
     The one choice of path: while n <= _EXACT_N_MAX or the singular spread of
     the scaled power (all n from one squaring chain) stays above
     _EXACT_SPREAD_FLOOR, the SVD of that single matrix is exact.  Past it the
     roots are the tail-window rates of one flag run on A* to the largest such
     n, which drop the alignment transient of the first few hundred steps.
+    ``normalized_power`` and ``yamamoto_limits`` on one (A, n) share a
+    read-out through this memo, so the arrays are read-only.
     """
-    m = a.shape[0]
+    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
     out = {}
     for n, sp in zip(ns, _scaled_powers(a, ns)):
         if sp.is_zero:
@@ -221,7 +240,10 @@ def _power_roots(a, ns):
     flag_ns = tuple(n for n in ns if n not in out)
     if flag_ns:
         out.update(zip(flag_ns, _right_flag(a, flag_ns)))
-    return [out[n] for n in ns]
+    for v, roots in out.values():
+        v.flags.writeable = False
+        roots.flags.writeable = False
+    return tuple(out[n] for n in ns)
 
 
 def _rebuild(v, roots):
@@ -233,14 +255,14 @@ def _rebuild(v, roots):
 def normalized_power(a, n: int) -> np.ndarray:
     """|A^n|^(1/n) as a PSD matrix."""
     a = linalg.as_matrix(a)
-    (v, roots), = _power_roots(a, (_positive_int(n),))
+    (v, roots), = _power_roots(a.tobytes(), a.shape[0], (_positive_int(n),))
     return _rebuild(v, roots)
 
 
 def yamamoto_limits(a, n: int) -> np.ndarray:
     """(s_1(A^n)^(1/n), ..., s_m(A^n)^(1/n)), descending; zero singulars map to 0."""
     a = linalg.as_matrix(a)
-    (_, roots), = _power_roots(a, (_positive_int(n),))
+    (_, roots), = _power_roots(a.tobytes(), a.shape[0], (_positive_int(n),))
     return np.sort(roots)[::-1]
 
 
@@ -300,6 +322,6 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     if not schedule or schedule[0] < 1 or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
     k = np.asarray(limit_matrix, dtype=np.complex128)
-    powers = _power_roots(a, tuple(schedule))
+    powers = _power_roots(a.tobytes(), a.shape[0], tuple(schedule))
     errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
     return ConvergenceReport(errors=tuple(errors))

@@ -1,13 +1,23 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from satk import decomp, powerit, resolution
+import satk
+
+
+def satk_memos():
+    """satk's stdlib memos: every attribute with ``cache_clear`` of every satk module."""
+    modules = [satk] + [importlib.import_module(f"satk.{m.name}") for m in pkgutil.iter_modules(satk.__path__)]
+    memos = {id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
+    return list(memos.values())
 
 
 def clear_memos():
     """Empty satk's stdlib memos, so a test that counts calls starts cold
     whatever ran before it."""
-    for memo in (powerit._flag_run, decomp._schur_form, decomp._dunford, resolution._resolution):
+    for memo in satk_memos():
         memo.cache_clear()
 
 

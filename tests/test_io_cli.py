@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satk
-from satk import cli, decomp, linalg, records
+from satk import cli, decomp, linalg, mmio, records
 from satk.cli import main, run_command
 from satk.errors import InvalidInput, ParseError
 from satk.instances import InstanceSpec, generate_instance
@@ -21,7 +21,7 @@ from satk.mmio import parse_matrix
 from satk.powerit import normalized_power
 from satk.records import ARTIFACT_VERSION, RunConfig, write_error_csv
 
-from conftest import clear_memos, dt_like, similar_jordan
+from conftest import clear_memos, dt_like, satk_memos, similar_jordan
 from oracles import matrix_to_json, read_error_csv
 
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
@@ -81,6 +81,42 @@ def test_parse_malformed_entry_reports_line():
 def test_parse_non_square_rejected():
     with pytest.raises(InvalidInput):
         parse_matrix("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")
+
+
+class _Allocated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%%MatrixMarket matrix coordinate real general\n1000000 1000000 0\n",
+        f"%%MatrixMarket matrix coordinate real general\n{mmio.MAX_DIM + 1} {mmio.MAX_DIM + 1} 0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 3 0\n",
+        "%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n4\n5\n6\n",
+        f'{{"dim": {mmio.MAX_DIM + 1}, "entries": []}}',
+    ],
+    ids=["coordinate-1e6", "coordinate-cap", "coordinate-2x3", "array-3x2", "json-cap"],
+)
+def test_parse_refuses_declared_size_before_allocating(monkeypatch, text):
+    def allocate(shape, *args, **kwargs):
+        raise _Allocated(shape)
+
+    monkeypatch.setattr(mmio.np, "zeros", allocate)
+    monkeypatch.setattr(mmio.np, "empty", allocate)
+    with pytest.raises(InvalidInput):
+        parse_matrix(text)
+
+
+def test_parse_allocates_at_the_dimension_cap(monkeypatch):
+    def allocate(shape, *args, **kwargs):
+        raise _Allocated(shape)
+
+    monkeypatch.setattr(mmio.np, "zeros", allocate)
+    text = f"%%MatrixMarket matrix coordinate real general\n{mmio.MAX_DIM} {mmio.MAX_DIM} 0\n"
+    with pytest.raises(_Allocated) as exc:
+        parse_matrix(text)
+    assert exc.value.args[0] == (mmio.MAX_DIM, mmio.MAX_DIM)
 
 
 def test_parse_bad_json_schema():
@@ -207,6 +243,22 @@ def test_cli_parser_reused_after_usage_errors(tmp_path, capsys):
     assert main(["limit", "--seed", "5", "--out", str(out)]) == 0
     assert _fresh_process_main(["limit", "--seed", "5", "--out", str(fresh)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_clear_memos_empties_every_memo():
+    # an iterate run fills the numeric memos of decomp, resolution and powerit
+    run_command(RunConfig(command="iterate", seed=1, params={}))
+    memos = {f"{m.__module__}.{m.__name__}": m for m in satk_memos()}
+    numeric = (
+        "satk.decomp._schur_form",
+        "satk.decomp._dunford",
+        "satk.resolution._resolution",
+        "satk.powerit._power_roots",
+        "satk.powerit._flag_run",
+    )
+    assert all(memos[name].cache_info().currsize > 0 for name in numeric)
+    clear_memos()
+    assert {name: m.cache_info().currsize for name, m in memos.items()} == dict.fromkeys(memos, 0)
 
 
 def test_cli_decompose_and_limit_share_one_dunford(tmp_path, monkeypatch):
@@ -504,7 +556,8 @@ def _matrix_market(a, layout):
         rows.append(f"{m} {m}")
         rows += [f"{z[i][j].real!r} {z[i][j].imag!r}" for j in range(m) for i in range(m)]
     else:
-        cells = [(i, j) for i in range(m) for j in range(m) if z[i][j] != 0]
+        # an entry left out reads as +0, so a signed zero is written out
+        cells = [(i, j) for i in range(m) for j in range(m) if a[i, j].tobytes() != bytes(16)]
         rows.append(f"{m} {m} {len(cells)}")
         rows += [f"{i + 1} {j + 1} {z[i][j].real!r} {z[i][j].imag!r}" for i, j in cells]
     return "\n".join(rows) + "\n"

@@ -83,7 +83,7 @@ def test_power_roots_share_one_squaring_chain(monkeypatch):
     norm2, calls = linalg.norm2, []
     monkeypatch.setattr(linalg, "norm2", lambda x: calls.append(1) or norm2(x))
     clear_memos()
-    powerit._power_roots(a, SCHEDULE)
+    powerit._power_roots(a.tobytes(), a.shape[0], SCHEDULE)
     assert len(calls) == 22
     assert powerit._flag_run.cache_info().misses == 1  # the flag path ran
 
@@ -127,21 +127,27 @@ def test_normalized_power_flag_agrees_with_exact_midrange(rng):
 
 
 def test_estimators_share_one_flag_run():
+    # normalized_power and yamamoto_limits share one read-out (one squaring
+    # chain, one probe SVD per n); vector_exponent_estimates reads its flag
     a = generate_instance(5, InstanceSpec(dim=5)).matrix
     clear_memos()
     powerit.normalized_power(a, 4096)
     powerit.yamamoto_limits(a, 4096)
+    info = powerit._power_roots.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert powerit._flag_run.cache_info().misses == 1
     powerit.vector_exponent_estimates(a, np.eye(5), 4096)
     info = powerit._flag_run.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_flag_run_arrays_are_read_only():
-    (q, levels), = powerit._right_flag(FIXTURE, (256,))
-    with pytest.raises(ValueError):
-        q[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        levels[0] = 0.0
+    arrays = [*powerit._right_flag(FIXTURE, (256,))[0]]
+    for n in (12, 4096):  # the memoized read-out, on the exact and the flag path
+        arrays += powerit._power_roots(FIXTURE.tobytes(), 2, (n,))[0]
+    for x in arrays:
+        with pytest.raises(ValueError):
+            x.flat[0] = 0.0
 
 
 def _reference_flag_run(a, ns, k):
@@ -201,9 +207,17 @@ def _flag_kernel_cases():
     yield pytest.param("generic", 1e-40 * b, id="scaled-1e-40")
 
 
-@pytest.mark.parametrize("kind, a", list(_flag_kernel_cases()))
-def test_flag_run_matches_numpy_qr_reference(kind, a):
-    ns = (65, 1000, 4096)
+def _flag_kernel_runs():
+    """Each kernel case read out at (65, 1000, 4096), and at iterate's default
+    schedule and the custom one of the record corpus: those read out at many
+    points, several of them (6, 12, 75, 100, 150) off the block trunk."""
+    for case in _flag_kernel_cases():
+        for suffix, ns in (("", (65, 1000, 4096)), ("-default", SCHEDULE), ("-custom", (8, 16, 32, 64, 100, 200))):
+            yield pytest.param(*case.values, ns, id=case.id + suffix)
+
+
+@pytest.mark.parametrize("kind, a, ns", list(_flag_kernel_runs()))
+def test_flag_run_matches_numpy_qr_reference(kind, a, ns):
     key, m = a.tobytes(), a.shape[0]
     k = powerit._block_power(a)[0]
     assert (k > 1) == (kind == "generic")
@@ -278,7 +292,7 @@ def test_flag_step_raises_on_lapack_failure(monkeypatch, routine):
     real = getattr(powerit.lapack, routine)
     monkeypatch.setattr(powerit.lapack, routine, lambda *a, **k: (*real(*a, **k)[:-1], -1))
     with pytest.raises(np.linalg.LinAlgError, match=routine):
-        powerit._flag_steps(FIXTURE, np.eye(2, dtype=complex), np.zeros(2), 3)
+        powerit._flag_steps(FIXTURE, np.eye(2, dtype=complex), np.empty((3, 2), dtype=complex))
 
 
 def test_normalized_power_nilpotent_is_zero():
