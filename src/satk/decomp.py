@@ -8,7 +8,6 @@ reordered to put the cluster first and one triangular Sylvester solve.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +51,14 @@ class DunfordDecomposition:
     idempotents: tuple
     condition_bound: float
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-
-@functools.lru_cache(maxsize=8)
-def _schur_form(key: bytes, m: int):
-    """(T, Z, scale) with A = Z T Z* and scale = max(1, ||A||) for the m x m
-    matrix with a.tobytes() == key, by LAPACK zgees.  Shared through this
-    memo, so the arrays are read-only."""
-    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
+@linalg.matrix_memo(maxsize=8)
+def schur_form(a):
+    """(T, Z, max(1, ||A||)) with A = Z T Z*, by LAPACK zgees, computed once per matrix."""
     t, _, _, z, _, info = lapack.zgees(lambda w: 0, a)
     if info != 0:
         raise NumericalFailure(f"zgees failed with info={info}")
-    t.flags.writeable = False
-    z.flags.writeable = False
     return t, z, max(1.0, linalg.norm2(a))
-
-
-def schur_form(a):
-    """(T, Z, max(1, ||A||)) with A = Z T Z*, computed once per matrix."""
-    return _schur_form(a.tobytes(), a.shape[0])
 
 
 def reorder_schur(t, z, select, scale: float):
@@ -108,7 +93,7 @@ def eigen_clusters(a) -> list:
     Clusters are returned sorted by (Re, Im) of their representatives and are
     pairwise separated by more than ``CLUSTER_TOL * max(1, ||A||)``.
     """
-    t, _, scale = schur_form(linalg.as_matrix(a))
+    t, _, scale = schur_form(a)
     eigvals = [complex(z) for z in t.diagonal()]
     groups = [[eigvals[i] for i in g] for g in single_linkage(eigvals, CLUSTER_TOL * scale)]
     clusters = [EigenCluster(complex(np.mean(vals)), tuple(vals), len(vals)) for vals in groups]
@@ -121,7 +106,7 @@ def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
     diagonal entries within ``CLUSTER_TOL * max(1, ||A||)`` of its members: T
     reordered to [[T11, T12], [0, T22]] with them in T11, ztrsyl solves
     T11 Y - Y T22 = T12, and Z [[I, Y], [0, 0]] Z* commutes with A."""
-    t, z, scale = schur_form(linalg.as_matrix(a))
+    t, z, scale = schur_form(a)
     gaps = np.abs(t.diagonal()[:, None] - np.array(cluster.members)[None, :])
     select = gaps.min(axis=1) <= CLUSTER_TOL * scale
     m, k = t.shape[0], int(np.count_nonzero(select))
@@ -136,19 +121,16 @@ def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
     return SpectralIdempotent(matrix=p, cluster=cluster)
 
 
-@functools.lru_cache(maxsize=8)
-def _dunford(key: bytes, m: int) -> DunfordDecomposition:
-    """Dunford decomposition of the m x m matrix with a.tobytes() == key.
-    Shared through this memo, so every array of it is read-only."""
-    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
+@linalg.matrix_memo(maxsize=8)
+def dunford(a) -> DunfordDecomposition:
+    """Dunford (Jordan-Chevalley) decomposition of A from its cluster
+    idempotents, computed once per matrix.  It holds a copy of A, never A."""
     idempotents = tuple(spectral_idempotent(a, c) for c in eigen_clusters(a))
     d = np.zeros_like(a)
     for p in idempotents:
         d += p.cluster.representative * p.matrix
     n = a - d
     bound = max(linalg.norm2(p.matrix) for p in idempotents)
-    for x in (d, n, *(p.matrix for p in idempotents)):
-        x.flags.writeable = False
     return DunfordDecomposition(
         matrix=a,
         scalar_part=d,
@@ -156,10 +138,3 @@ def _dunford(key: bytes, m: int) -> DunfordDecomposition:
         idempotents=idempotents,
         condition_bound=float(bound),
     )
-
-
-def dunford(a) -> DunfordDecomposition:
-    """Dunford (Jordan-Chevalley) decomposition of A from its cluster
-    idempotents, computed once per matrix.  It holds a copy of A, never A."""
-    a = linalg.as_matrix(a)
-    return _dunford(a.tobytes(), a.shape[0])

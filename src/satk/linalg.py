@@ -1,10 +1,14 @@
-"""Dense complex linear-algebra kernels: validation, SVD, norms and range projections.
+"""Dense complex linear-algebra kernels: validation, the matrix memo, SVD, norms and range projections.
 
 All operations act on square ``numpy`` arrays of ``complex128`` and are pure:
-inputs are never mutated and results are freshly allocated.
+inputs are never mutated and results are freshly allocated, except those of
+a ``matrix_memo``, which are shared and read-only.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
 
 import numpy as np
 from scipy.linalg import lapack
@@ -17,9 +21,48 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+    m = np.ascontiguousarray(m)  # the float64 view needs a contiguous last axis
     if not np.all(np.isfinite(m.view(np.float64))):
         raise InvalidInput("matrix has non-finite entries")
     return m
+
+
+def matrix_memo(maxsize: int):
+    """Memoize ``f(a, *args)`` by the complex bytes and shape of A and the hashable args.
+
+    A miss calls f on ``as_matrix`` of the memo's own read-only copy of A, so
+    f never holds the caller's array, an input is validated once, and its
+    C- and F-ordered forms share an entry.  Every array reachable through the
+    result's tuples and dataclass fields is made read-only, since each hit
+    returns the same objects.  ``cache_info`` and ``cache_clear`` are the
+    ``lru_cache``'s.
+    """
+
+    def freeze(x):
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+        elif isinstance(x, tuple):
+            for y in x:
+                freeze(y)
+        elif dataclasses.is_dataclass(x):
+            for field in dataclasses.fields(x):
+                freeze(getattr(x, field.name))
+        return x
+
+    def decorate(f):
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(key, shape, *args):
+            return freeze(f(as_matrix(np.frombuffer(key, dtype=np.complex128).reshape(shape)), *args))
+
+        @functools.wraps(f)
+        def memo(a, *args):
+            a = np.asarray(a, dtype=np.complex128)
+            return cached(a.tobytes(), a.shape, *args)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return decorate
 
 
 def svd(a, compute_uv: bool = True):

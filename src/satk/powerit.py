@@ -15,7 +15,6 @@ carried by any single float64 matrix.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,12 @@ _COEFF_TOL = 1e-6
 # and blocks of 8 put a 1.5e-3 relative error on its small level.
 _BLOCK_SPREAD_FLOOR = 1e-6
 _BLOCK_SINGULAR_FLOOR = 1e-290
+# The most steps a flag run (or a propagator in satk.semigroup) takes: a run
+# holds (n // k) x m complex diagonals, 512 MB at m = 8 and k = 1.
+_MAX_STEPS = 2**22
+# A column norm in this range comes out of the plain sum of squares at full
+# precision: no square overflows, and subnormal squares lose at most eps.
+_EXACT_NORMS = (np.sqrt(np.finfo(float).tiny / np.finfo(float).eps), np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -162,9 +167,11 @@ def _block_power(a):
     return 1, a
 
 
-@functools.lru_cache(maxsize=64)
-def _flag_run(key: bytes, m: int, ns: tuple):
-    """One flag run on the m x m matrix a with a.tobytes() == key, read at each n in ns.
+@linalg.matrix_memo(maxsize=64)
+def _flag_run(a, ns: tuple):
+    """One flag run on a, read at each n in ns.  Run on A*, the columns of each
+    q approximate right singular directions of A^n and its levels their
+    singular values' n-th roots.
 
     ns is a sorted tuple of step counts.  After n multiply-and-orthonormalize
     steps a^n = Q T with Q of that step.  Returns one (q, levels) per n: levels
@@ -174,9 +181,12 @@ def _flag_run(key: bytes, m: int, ns: tuple):
     ``_block_power``) and reaches each read-out point p from the block at
     k * (p // k) with p % k single steps of a, so a read-out at n does not
     depend on the other entries of ns.  The estimators called on one (a, n)
-    share a run through this memo, so the arrays are read-only.
+    share a run through this memo.  A run past _MAX_STEPS is refused before
+    anything is allocated.
     """
-    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
+    if max(ns) > _MAX_STEPS:
+        raise InvalidInput(f"n = {max(ns)} is more than {_MAX_STEPS} flag steps")
+    m = a.shape[0]
     k, ak = _block_power(a)
     points = sorted(set(ns) | {n - max(1, n // 4) for n in ns})
     trunk = np.empty((points[-1] // k, m), dtype=np.complex128)
@@ -200,25 +210,14 @@ def _flag_run(key: bytes, m: int, ns: tuple):
             tail = logs - at[n - window][1]
             tail[np.isneginf(logs)] = -np.inf
             levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
-        levels = np.nan_to_num(levels, nan=0.0, posinf=0.0)
-        q.flags.writeable = False
-        levels.flags.writeable = False
-        out.append((q, levels))
+        out.append((q, np.nan_to_num(levels, nan=0.0, posinf=0.0)))
     return tuple(out)
 
 
-def _right_flag(a, ns):
-    """Flag run on A* read at each n in the sorted tuple ns: columns of each q
-    approximate right singular directions of A^n, levels their singular
-    values' n-th roots."""
-    return _flag_run(a.conj().T.tobytes(), a.shape[0], ns)
-
-
-@functools.lru_cache(maxsize=64)
-def _power_roots(key: bytes, m: int, ns: tuple):
+@linalg.matrix_memo(maxsize=64)
+def _power_roots(a, ns: tuple):
     """(V, roots) with |A^n|^(1/n) = V diag(roots) V* for each n in the
-    strictly increasing tuple ns, A the m x m matrix with A.tobytes() == key;
-    roots are s_j(A^n)^(1/n).
+    strictly increasing tuple ns; roots are s_j(A^n)^(1/n).
 
     The one choice of path: while n <= _EXACT_N_MAX or the singular spread of
     the scaled power (all n from one squaring chain) stays above
@@ -226,10 +225,9 @@ def _power_roots(key: bytes, m: int, ns: tuple):
     roots are the tail-window rates of one flag run on A* to the largest such
     n, which drop the alignment transient of the first few hundred steps.
     ``normalized_power`` and ``yamamoto_limits`` on one (A, n) share a
-    read-out through this memo, so the arrays are read-only.
+    read-out through this memo.
     """
-    a = np.frombuffer(key, dtype=np.complex128).reshape(m, m)
-    out = {}
+    m, out = a.shape[0], {}
     for n, sp in zip(ns, _scaled_powers(a, ns)):
         if sp.is_zero:
             out[n] = np.eye(m, dtype=np.complex128), np.zeros(m)
@@ -239,10 +237,7 @@ def _power_roots(key: bytes, m: int, ns: tuple):
             out[n] = vh.conj().T, np.exp(sp.log_scale / n) * s ** (1.0 / n)
     flag_ns = tuple(n for n in ns if n not in out)
     if flag_ns:
-        out.update(zip(flag_ns, _right_flag(a, flag_ns)))
-    for v, roots in out.values():
-        v.flags.writeable = False
-        roots.flags.writeable = False
+        out.update(zip(flag_ns, _flag_run(a.conj().T, flag_ns)))
     return tuple(out[n] for n in ns)
 
 
@@ -254,15 +249,13 @@ def _rebuild(v, roots):
 
 def normalized_power(a, n: int) -> np.ndarray:
     """|A^n|^(1/n) as a PSD matrix."""
-    a = linalg.as_matrix(a)
-    (v, roots), = _power_roots(a.tobytes(), a.shape[0], (_positive_int(n),))
+    (v, roots), = _power_roots(a, (_positive_int(n),))
     return _rebuild(v, roots)
 
 
 def yamamoto_limits(a, n: int) -> np.ndarray:
     """(s_1(A^n)^(1/n), ..., s_m(A^n)^(1/n)), descending; zero singulars map to 0."""
-    a = linalg.as_matrix(a)
-    (_, roots), = _power_roots(a.tobytes(), a.shape[0], (_positive_int(n),))
+    (_, roots), = _power_roots(a, (_positive_int(n),))
     return np.sort(roots)[::-1]
 
 
@@ -270,12 +263,19 @@ def orbit_log_norms(a, v, n: int) -> np.ndarray:
     """log ||A^n v_j|| for each column of v, renormalizing every column at every step.
 
     Logs of products that leave float range stay finite; a column whose orbit
-    reaches zero gets -inf.
+    reaches zero gets -inf.  A column whose plain norm leaves _EXACT_NORMS
+    has it taken again from the column scaled by its largest modulus.
     """
     logs = np.zeros(v.shape[1])
     for _ in range(n):
         v = a @ v
-        step = np.linalg.norm(v, axis=0)
+        with np.errstate(over="ignore"):
+            step = np.linalg.norm(v, axis=0)
+        redo = ~((step >= _EXACT_NORMS[0]) & (step <= _EXACT_NORMS[1]))
+        if redo.any():
+            scale = np.abs(v[:, redo]).max(axis=0)
+            scale[scale == 0.0] = 1.0
+            step[redo] = scale * np.linalg.norm(v[:, redo] / scale, axis=0)
         with np.errstate(divide="ignore"):
             logs += np.log(step)  # a norm of 0 makes the log -inf for good
         v = v / np.where(step > 0.0, step, 1.0)
@@ -305,7 +305,7 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     # come from the tail window so the alignment transient does not bias them.
     # A vector's exponent is the largest level among the flag directions it
     # has a significant component along (0 if none, as for x = 0).
-    (q, level), = _right_flag(a, (n,))
+    (q, level), = _flag_run(a.conj().T, (n,))
     significant = np.abs(q.conj().T @ xs) > _COEFF_TOL * norms
     return np.where(significant, level[:, None], 0.0).max(axis=0)
 
@@ -317,11 +317,10 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     ``normalized_power`` takes, and the n on the flag path are all read from
     one flag run to the largest of them.
     """
-    a = linalg.as_matrix(a)
     schedule = [int(n) for n in schedule]
     if not schedule or schedule[0] < 1 or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
     k = np.asarray(limit_matrix, dtype=np.complex128)
-    powers = _power_roots(a.tobytes(), a.shape[0], tuple(schedule))
+    powers = _power_roots(a, tuple(schedule))
     errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
     return ConvergenceReport(errors=tuple(errors))

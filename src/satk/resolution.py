@@ -10,7 +10,6 @@ weighted sum of the increments F_j - F_{j-1}.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +39,18 @@ class LimitOperator:
 
 def _level_resolution(dec: DunfordDecomposition, key) -> LevelResolution:
     clusters = tuple((p.cluster.representative, p.cluster.multiplicity) for p in dec.idempotents)
-    return _resolution(dec.matrix.tobytes(), dec.dim, key, clusters)
+    return _resolution(dec.matrix, key, clusters)
 
 
-@functools.lru_cache(maxsize=8)
-def _resolution(matrix_key: bytes, m: int, key, clusters: tuple) -> LevelResolution:
-    """Resolution of the m x m matrix with a.tobytes() == matrix_key and the
-    (representative, multiplicity) clusters.  Levels: the clustered keys of
-    the representatives, ascending.  At each cut between levels the Schur
-    form is reordered to put the keys below it first (``reorder_schur``,
-    which refuses a small sep); the cut is also refused if their count is not
-    the multiplicity below it.  Membership tests share this memo, so the
-    projections are read-only."""
-    t, z, scale = schur_form(np.frombuffer(matrix_key, dtype=np.complex128).reshape(m, m))
+@linalg.matrix_memo(maxsize=8)
+def _resolution(a, key, clusters: tuple) -> LevelResolution:
+    """Resolution of A with the (representative, multiplicity) clusters.
+    Levels: the clustered keys of the representatives, ascending.  At each
+    cut between levels the Schur form is reordered to put the keys below it
+    first (``reorder_schur``, which refuses a small sep); the cut is also
+    refused if their count is not the multiplicity below it.  Membership
+    tests share this memo."""
+    t, z, scale = schur_form(a)
     values = np.array([key(rep) for rep, _ in clusters])
     groups = single_linkage(values, CLUSTER_TOL * scale)
     levels, groups = zip(*sorted((float(np.mean(values[g])), g) for g in groups))
@@ -68,9 +66,7 @@ def _resolution(matrix_key: bytes, m: int, key, clusters: tuple) -> LevelResolut
             )
         projections.append(z[:, :k] @ z[:, :k].conj().T)
     # the top level covers everything: take the exact identity
-    projections.append(np.eye(m, dtype=np.complex128))
-    for f in projections:
-        f.flags.writeable = False
+    projections.append(np.eye(a.shape[0], dtype=np.complex128))
     return LevelResolution(levels=levels, projections=tuple(projections))
 
 
@@ -116,8 +112,9 @@ def semigroup_limit(res: LevelResolution) -> LimitOperator:
 def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
     """Smallest level whose F_j contains x; None for x = 0."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != dec.dim:
-        raise InvalidInput(f"vector has length {x.shape[0]}, expected {dec.dim}")
+    m = dec.matrix.shape[0]
+    if x.shape[0] != m:
+        raise InvalidInput(f"vector has length {x.shape[0]}, expected {m}")
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return None

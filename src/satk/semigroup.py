@@ -11,7 +11,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import InvalidInput
-from .powerit import ScaledPower, scaled_power, vector_exponent_estimates
+from .powerit import _MAX_STEPS, ScaledPower, scaled_power, vector_exponent_estimates
 from .resolution import exp_growth_exponent_exact, halfplane_resolution, semigroup_limit
 
 __all__ = ["exp_growth_estimate", "exp_growth_exponent_exact", "halfplane_resolution",
@@ -19,8 +19,6 @@ __all__ = ["exp_growth_estimate", "exp_growth_exponent_exact", "halfplane_resolu
 
 # The scaled step exp((t / 2^s) A) is taken with ||(t / 2^s) A|| under this.
 _STEP_NORM_CAP = 0.5
-# exp_growth_estimate refuses a t ||A|| that needs more propagator steps than this.
-_MAX_STEPS = 2**22
 
 
 def matrix_exp_scaled(a, t: float) -> ScaledPower:

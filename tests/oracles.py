@@ -172,7 +172,7 @@ def range_oracle(dec, key, weight):
     keys = np.array([key(p.cluster.representative) for p in dec.idempotents])
     ordered = np.sort(keys)
     tops = [*ordered[:-1][np.diff(ordered) > 1e-9], ordered[-1]]
-    m = dec.dim
+    m = dec.matrix.shape[0]
     out = np.zeros((m, m), dtype=complex)
     prev = np.zeros((m, m), dtype=complex)
     below = -np.inf

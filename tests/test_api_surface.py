@@ -1,9 +1,12 @@
-"""The public API holds no function that only tests use.
+"""The public API holds no function that only tests use, and one memo rule.
 
 Every function or class that ``satk/__init__.py`` exports must be referenced
 somewhere in ``src/satk`` or ``bench/`` outside its own definition and
 ``__init__``.  A reference from inside another export that is itself unused
 does not count, so a chain of test-only helpers is caught whole.
+
+Every matrix memo is a ``linalg.matrix_memo``: the tools of the memo policy
+appear nowhere else in ``src/satk``.
 """
 
 import ast
@@ -69,3 +72,23 @@ def unused_exports():
 
 def test_every_export_is_used_outside_tests():
     assert unused_exports() == []
+
+
+def test_memo_policy_lives_in_linalg():
+    # a memo keyed by bytes (lru_cache), rebuilding its matrix (frombuffer)
+    # and freezing its result (.flags.writeable) by hand would show here;
+    # cli's functools.cache calls are not matrix memos
+    tools = ("lru_cache", "frombuffer", ".flags.writeable")
+    memo = next(
+        node
+        for node in ast.parse((PACKAGE / "linalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "matrix_memo"
+    )
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if any(tool in line for tool in tools)
+        and not (path.name == "linalg.py" and memo.lineno <= i <= memo.end_lineno)
+    ]
+    assert found == []

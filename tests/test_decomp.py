@@ -146,17 +146,3 @@ def test_dunford_refuses_similar_jordan_block():
     with pytest.raises(IllConditioned) as again:
         decomp.dunford(a)
     assert again.value.residual == err.value.residual
-
-
-def test_dunford_holds_a_read_only_copy():
-    # the decomposition is shared through a memo: it keeps its own copy of
-    # A, and no caller can write into it
-    a = np.array([[1, 1], [0, 2]], dtype=complex)
-    dec = decomp.dunford(a)
-    arrays = [dec.matrix, dec.scalar_part, dec.nilpotent_part, *(p.matrix for p in dec.idempotents)]
-    assert not any(np.shares_memory(x, a) for x in arrays)
-    assert not any(x.flags.writeable for x in arrays)
-    a[0, 1] = 5
-    assert dec.matrix[0, 1] == 1
-    assert decomp.dunford(a) is not dec
-    assert decomp.dunford(np.array([[1, 1], [0, 2]], dtype=complex)) is dec

@@ -250,8 +250,8 @@ def test_clear_memos_empties_every_memo():
     run_command(RunConfig(command="iterate", seed=1, params={}))
     memos = {f"{m.__module__}.{m.__name__}": m for m in satk_memos()}
     numeric = (
-        "satk.decomp._schur_form",
-        "satk.decomp._dunford",
+        "satk.decomp.schur_form",
+        "satk.decomp.dunford",
         "satk.resolution._resolution",
         "satk.powerit._power_roots",
         "satk.powerit._flag_run",

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satk import linalg
+from satk import decomp, linalg, powerit, resolution, semigroup
 from satk.errors import InvalidInput
 
-from conftest import random_complex, random_psd, random_projection
+from conftest import clear_memos, random_complex, random_psd, random_projection
 from oracles import (
     abs_op,
     as_hermitian,
@@ -19,13 +21,129 @@ from oracles import (
 
 
 def test_as_matrix_rejects_non_square():
-    with pytest.raises(InvalidInput):
-        linalg.as_matrix(np.zeros((2, 3)))
+    # also through a memo, which validates on a miss
+    for x in (np.zeros((2, 3)), np.complex128(2.0), np.ones(3)):
+        for entry in (linalg.as_matrix, decomp.dunford):
+            with pytest.raises(InvalidInput):
+                entry(x)
 
 
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(InvalidInput):
         linalg.as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+FIXTURE = np.array([[1, 1], [0, 2]], dtype=complex)
+REAL = np.array([[0.9, 1.0, 0.0], [0.0, -0.4, 2.0], [0.3, 0.0, 0.2]])
+
+
+def _content(x):
+    """x as comparable Python data, each array by its dtype, shape and bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return [_content(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [_content(y) for y in x]
+    return repr(x)
+
+
+def _matrix_entries():
+    """Each public function that takes a matrix, with its other arguments."""
+    yield "normalized_power", lambda a: [powerit.normalized_power(a, n) for n in (12, 4096)]
+    yield "yamamoto_limits", lambda a: [powerit.yamamoto_limits(a, n) for n in (12, 4096)]
+    yield "vector_exponent_estimates", lambda a: [
+        powerit.vector_exponent_estimates(a, np.eye(len(a)), n) for n in (16, 4096)
+    ]
+    yield "convergence_study", lambda a: powerit.convergence_study(a, (16, 4096), np.eye(len(a)))
+    yield "scaled_power", lambda a: powerit.scaled_power(a, 7)
+    yield "schur_form", decomp.schur_form
+    yield "eigen_clusters", decomp.eigen_clusters
+    yield "spectral_idempotent", lambda a: [
+        decomp.spectral_idempotent(a, c) for c in decomp.eigen_clusters(a)
+    ]
+    yield "dunford", decomp.dunford
+    yield "check_resolution", lambda a: resolution.check_resolution(
+        a, resolution.modulus_resolution(decomp.dunford(a))
+    )
+    yield "matrix_exp_scaled", lambda a: semigroup.matrix_exp_scaled(a, 2.0)
+    yield "exp_growth_estimate", lambda a: semigroup.exp_growth_estimate(a, np.ones(len(a)), 3.0)
+    yield "range_projection", linalg.range_projection
+
+
+@pytest.mark.parametrize("a", [FIXTURE, REAL], ids=["complex", "real"])
+@pytest.mark.parametrize("entry", [pytest.param(f, id=name) for name, f in _matrix_entries()])
+def test_matrix_entries_take_any_layout(entry, a):
+    # an F-ordered input (or a transposed view) gives its C copy's bytes;
+    # the memos are emptied so each layout takes the whole path
+    clear_memos()
+    want = _content(entry(a))
+    for other in (np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+        clear_memos()
+        assert _content(entry(other)) == want
+
+
+def _memo_cases():
+    """(memo, a public entry that fills it, the memo's arrays for A read back through it)."""
+    yield pytest.param(
+        powerit._flag_run,
+        lambda a: powerit.vector_exponent_estimates(a, np.eye(2), 256),
+        lambda a: [*powerit._flag_run(a.conj().T, (256,))[0]],
+        id="flag_run",
+    )
+    yield pytest.param(  # the read-out on the exact and on the flag path
+        powerit._power_roots,
+        lambda a: [powerit.normalized_power(a, n) for n in (12, 4096)],
+        lambda a: [x for n in (12, 4096) for x in powerit._power_roots(a, (n,))[0]],
+        id="power_roots",
+    )
+    yield pytest.param(
+        decomp.schur_form, decomp.eigen_clusters, lambda a: [*decomp.schur_form(a)[:2]], id="schur_form"
+    )
+    yield pytest.param(
+        decomp.dunford,
+        decomp.dunford,
+        lambda a: [
+            (dec := decomp.dunford(a)).matrix,
+            dec.scalar_part,
+            dec.nilpotent_part,
+            *(p.matrix for p in dec.idempotents),
+        ],
+        id="dunford",
+    )
+    yield pytest.param(
+        resolution._resolution,
+        lambda a: resolution.modulus_resolution(decomp.dunford(a)),
+        lambda a: [*resolution.modulus_resolution(decomp.dunford(a)).projections],
+        id="resolution",
+    )
+
+
+@pytest.mark.parametrize("memo, entry, held", list(_memo_cases()))
+def test_matrix_memo_contract(memo, entry, held):
+    clear_memos()
+    a = FIXTURE.copy()
+    entry(a)
+    arrays = held(a)
+    # the memo holds its own read-only copy: no caller can write into it
+    assert not any(np.shares_memory(x, a) for x in arrays)
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x.flat[0] = 0.0
+    # writing into the caller's array moves nothing the memo holds
+    before = [x.tobytes() for x in arrays]
+    a[0, 1] = 5
+    assert [x.tobytes() for x in arrays] == before
+    repeat = held(FIXTURE)
+    assert all(x is y for x, y in zip(repeat, arrays))
+    assert [x.tobytes() for x in repeat] == before
+    assert not any(x is y for x, y in zip(held(a), arrays))
+    # an F-ordered copy of the input is a hit
+    info = memo.cache_info()
+    entry(np.asfortranarray(FIXTURE))
+    after = memo.cache_info()
+    assert after.misses == info.misses and after.hits > info.hits
 
 
 def test_norm2_is_numpy_spectral_norm(rng):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from satk import linalg, powerit
+from satk.cli import run_command
 from satk.decomp import dunford
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
+from satk.records import RunConfig
 from satk.resolution import limit_operator, modulus_resolution
 
 from conftest import clear_memos, dt_like, random_complex, random_invertible
@@ -83,7 +85,7 @@ def test_power_roots_share_one_squaring_chain(monkeypatch):
     norm2, calls = linalg.norm2, []
     monkeypatch.setattr(linalg, "norm2", lambda x: calls.append(1) or norm2(x))
     clear_memos()
-    powerit._power_roots(a.tobytes(), a.shape[0], SCHEDULE)
+    powerit._power_roots(a, SCHEDULE)
     assert len(calls) == 22
     assert powerit._flag_run.cache_info().misses == 1  # the flag path ran
 
@@ -121,7 +123,7 @@ def test_normalized_power_flag_agrees_with_exact_midrange(rng):
     u, sv, vh = np.linalg.svd(sp.unit)
     assert sv[-1] > 1e-10 * sv[0]  # exact path trustworthy here
     exact = vh.conj().T @ ((np.exp(sp.log_scale / n) * sv ** (1.0 / n))[:, None] * vh)
-    (q, levels), = powerit._right_flag(a, (n,))
+    (q, levels), = powerit._flag_run(a.conj().T, (n,))
     flag = (q * levels) @ q.conj().T
     assert linalg.norm2(flag - exact) < 5e-2  # both near K; transient separates them
 
@@ -139,15 +141,6 @@ def test_estimators_share_one_flag_run():
     powerit.vector_exponent_estimates(a, np.eye(5), 4096)
     info = powerit._flag_run.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-
-
-def test_flag_run_arrays_are_read_only():
-    arrays = [*powerit._right_flag(FIXTURE, (256,))[0]]
-    for n in (12, 4096):  # the memoized read-out, on the exact and the flag path
-        arrays += powerit._power_roots(FIXTURE.tobytes(), 2, (n,))[0]
-    for x in arrays:
-        with pytest.raises(ValueError):
-            x.flat[0] = 0.0
 
 
 def _reference_flag_run(a, ns, k):
@@ -218,13 +211,12 @@ def _flag_kernel_runs():
 
 @pytest.mark.parametrize("kind, a, ns", list(_flag_kernel_runs()))
 def test_flag_run_matches_numpy_qr_reference(kind, a, ns):
-    key, m = a.tobytes(), a.shape[0]
     k = powerit._block_power(a)[0]
     assert (k > 1) == (kind == "generic")
     ref = _reference_flag_run(a, ns, k)
-    combined = powerit._flag_run(key, m, ns)
+    combined = powerit._flag_run(a, ns)
     for n, (q, levels) in zip(ns, combined):
-        (q1, levels1), = powerit._flag_run(key, m, (n,))
+        (q1, levels1), = powerit._flag_run(a, (n,))
         for got_q, got_levels in ((q, levels), (q1, levels1)):
             assert got_q.tobytes() == ref[n][0].tobytes(), n
             assert got_levels.tobytes() == ref[n][1].tobytes(), n
@@ -263,11 +255,11 @@ def test_blocked_flag_matches_unblocked(monkeypatch, a):
     n = 4096
     b = a.conj().T
     assert powerit._block_power(b)[0] > 1
-    blocked = powerit._rebuild(*powerit._right_flag(a, (n,))[0])
+    blocked = powerit._rebuild(*powerit._flag_run(b, (n,))[0])
     # the unblocked run: the kernel at k = 1, which is the k = 1 reference
     # loop bit for bit (test_flag_run_matches_numpy_qr_reference)
     monkeypatch.setattr(powerit, "_block_power", lambda x: (1, x))
-    (q, roots), = powerit._flag_run.__wrapped__(b.tobytes(), b.shape[0], (n,))
+    (q, roots), = powerit._flag_run.__wrapped__(b, (n,))
     assert linalg.norm2(blocked - powerit._rebuild(q, roots)) <= 1e-10
 
 
@@ -285,6 +277,33 @@ def test_flag_estimates_scale_with_the_matrix(c, k):
     assert linalg.norm2(powerit.normalized_power(c * a, n) - want) <= rel * linalg.norm2(want)
     want = c * powerit.yamamoto_limits(a, n)
     assert powerit.yamamoto_limits(c * a, n) == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200, 1e-160])
+def test_orbit_estimates_scale_with_the_matrix(c):
+    # the orbit's column norms are about c per step: their squares overflow
+    # at 1e200, underflow at 1e-200 and are subnormal at 1e-160
+    a = np.array([[1, 1], [0, 0.5]])
+    want = powerit.vector_exponent_estimates(a, np.eye(2), 16)
+    got = powerit.vector_exponent_estimates(c * a, np.eye(2), 16) / c
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_flag_run_refuses_more_than_max_steps(monkeypatch):
+    # refused before its (n // k) x m diagonals, or anything else, are allocated
+    def fail(*args, **kwargs):
+        raise AssertionError("allocating")
+
+    n = powerit._MAX_STEPS + 1
+    monkeypatch.setattr(powerit, "_block_power", fail)  # the run's first step
+    record = run_command(RunConfig(command="yamamoto", seed=1, params={"n": n}))
+    assert [e["type"] for e in record.errors] == ["InvalidInput"]
+    monkeypatch.setattr(np, "empty", fail)
+    a = np.array([[1, 1], [0, 0.5]])
+    with pytest.raises(InvalidInput, match="flag steps"):
+        powerit.yamamoto_limits(a, n)
+    with pytest.raises(InvalidInput, match="flag steps"):
+        powerit.vector_exponent_estimates(a, np.eye(2), n)
 
 
 @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])

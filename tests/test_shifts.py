@@ -117,16 +117,18 @@ def test_sparse_orbit_is_dense_orbit(w, m, n):
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_orbit_log_norms_of_dying_columns(sparse):
-    # a column whose norm reaches 0, by underflow (|1e-170|^2 is below the
-    # smallest float) or exactly, reads -inf from that step on
+    # a column whose norm reaches 0 exactly reads -inf from that step on; one
+    # whose squares underflow (|1e-170|^2 is below the smallest float) keeps
+    # its log, from the column scaled by its largest entry
     a = np.zeros((4, 4), dtype=np.complex128)
     a[0, 0], a[2, 1], a[3, 3] = 1e-170, 1.0, 0.5
     if sparse:
         a = scipy.sparse.csr_array(a)
     v = np.eye(4, dtype=np.complex128)
-    assert orbit_log_norms(a, v, 1).tolist() == [-np.inf, 0.0, -np.inf, np.log(0.5)]
+    assert orbit_log_norms(a, v, 1).tolist() == [np.log(1e-170), 0.0, -np.inf, np.log(0.5)]
     logs = orbit_log_norms(a, v, 3)
-    assert logs[:3].tolist() == [-np.inf] * 3
+    assert logs[0] == pytest.approx(3 * np.log(1e-170), rel=1e-15)
+    assert logs[1:3].tolist() == [-np.inf] * 2
     assert logs[3] == pytest.approx(3 * np.log(0.5), rel=1e-15)
 
 
