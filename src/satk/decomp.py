@@ -67,7 +67,7 @@ def reorder_schur(t, z, select, scale: float):
     sep(T11, T22) < SEP_FLOOR * scale."""
     m = t.shape[0]
     k = int(np.count_nonzero(select))
-    t, z, _, _, _, sep, info = lapack.ztrsen(select, t, z, job="V", lwork=max(1, 2 * k * (m - k)))
+    t, z, _, _, _, sep, info = lapack.ztrsen(select, t, z, "V", 1, max(1, 2 * k * (m - k)))
     if info != 0:
         raise NumericalFailure(f"ztrsen failed with info={info}")
     if sep < SEP_FLOOR * scale:
@@ -114,7 +114,7 @@ def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
         p = np.eye(m, dtype=np.complex128) if k else np.zeros((m, m), dtype=np.complex128)
     else:
         t, z, k = reorder_schur(t, z, select, scale)
-        y, s, info = lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        y, s, info = lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], "N", "N", -1)
         if info < 0:
             raise NumericalFailure(f"ztrsyl failed with info={info}")
         p = z[:, :k] @ np.hstack([np.eye(k), y / s]) @ z.conj().T

@@ -1,8 +1,9 @@
-"""Dense complex linear-algebra kernels: validation, the matrix memo, SVD, norms and range projections.
+"""Dense complex linear-algebra kernels: validation, exact vector scaling, the matrix memo, SVD, norms and range projections.
 
-All operations act on square ``numpy`` arrays of ``complex128`` and are pure:
-inputs are never mutated and results are freshly allocated, except those of
-a ``matrix_memo``, which are shared and read-only.
+All operations act on ``numpy`` arrays of ``complex128``, square but for the
+vectors of ``binary_scaled``, and are pure: inputs are never mutated and
+results are freshly allocated, except those of a ``matrix_memo``, which are
+shared and read-only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,21 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.view(np.float64))):
         raise InvalidInput("matrix has non-finite entries")
     return m
+
+
+def binary_scaled(x) -> np.ndarray:
+    """x, each column (or x itself when 1-D) times the power of two that puts
+    its largest real or imaginary part in [0.5, 1) in absolute value (a
+    modulus can overflow where its parts do not).  The scaling is exact, so
+    directions and norm ratios keep every bit while norms can no longer over-
+    or underflow; zero columns stay zero.  A non-finite entry is refused."""
+    x = np.asarray(x, dtype=np.complex128)
+    if not np.isfinite(x).all():
+        raise InvalidInput("vector has non-finite entries")
+    _, e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=0))
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, -e), np.ldexp(x.imag, -e)
+    return out
 
 
 def matrix_memo(maxsize: int):
@@ -75,7 +91,7 @@ def svd(a, compute_uv: bool = True):
     a = np.asarray(a)
     if a.dtype != np.complex128:
         return np.linalg.svd(a, compute_uv=compute_uv)
-    u, s, vh, info = lapack.zgesdd(a, compute_uv=int(compute_uv))
+    u, s, vh, info = lapack.zgesdd(a, int(compute_uv))
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
     if not compute_uv:

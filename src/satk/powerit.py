@@ -112,24 +112,31 @@ def _flag_steps(a, q, diagonals):
     step's r diagonal to its row of diagonals and returns the last q'.
 
     The product is numpy's ``a @ q`` bit for bit: numpy forms a row-major
-    product as zgemm on the transposes, here ``zgemm(q, a.T, trans_a=1)``
-    on the F-contiguous view a.T, without matmul's dispatch.  At m = 1 numpy
-    takes its dot path instead, so that case keeps ``a @ q``.  The routines
-    are looked up per call, not at import, so a patched ``lapack`` is seen.
+    product as zgemm on the transposes, here ``zgemm(q, a.T)`` with
+    ``trans_a`` on the F-contiguous view a.T, without matmul's dispatch,
+    written into one F-ordered buffer reused by every step.  At m = 1 numpy
+    takes its dot path instead, so that case keeps ``a @ q``.  Every call
+    passes its arguments by position: f2py parses each keyword by name, a
+    few tenths of a microsecond per call against LAPACK work of a few
+    microseconds at dims 2-8.  lwork is f2py's own default, max(3 m, 1);
+    a smaller one switches zgeqrf to its unblocked path from m = 129 and
+    moves the bytes.  The routines are looked up per call, not at import,
+    so a patched ``lapack`` is seen.
     """
     gemm, geqrf, ungqr = blas.zgemm, lapack.zgeqrf, lapack.zungqr
-    if q.shape[0] == 1:
+    m = q.shape[0]
+    if m == 1:
 
-        def gemm(_alpha, q, _at, trans_a):
+        def gemm(_alpha, q, *_):
             return a @ q  # 1 x 1, so the loop's .T changes nothing
 
-    at = a.T
+    at, c, lwork = a.T, np.empty((m, m), dtype=np.complex128, order="F"), max(3 * m, 1)
     for row in diagonals:
-        qr, tau, _, info = geqrf(gemm(1.0, q, at, trans_a=1).T, overwrite_a=1)
+        qr, tau, _, info = geqrf(gemm(1.0, q, at, 0.0, c, 1, 0, 1).T, lwork, 1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgeqrf failed with info={info}")
         row[:] = qr.diagonal()
-        q, _, info = ungqr(qr, tau, overwrite_a=1)
+        q, _, info = ungqr(qr, tau, lwork, 1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zungqr failed with info={info}")
     return q
@@ -291,6 +298,7 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
         xs = xs[:, None]
     if xs.shape[0] != a.shape[0]:
         raise InvalidInput("vector dimension mismatch")
+    xs = linalg.binary_scaled(xs)
     norms = np.linalg.norm(xs, axis=0)
 
     if n <= 128:
@@ -320,7 +328,10 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     schedule = [int(n) for n in schedule]
     if not schedule or schedule[0] < 1 or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
+    a = linalg.as_matrix(a)
     k = np.asarray(limit_matrix, dtype=np.complex128)
+    if k.shape != a.shape or not np.isfinite(k).all():
+        raise InvalidInput(f"limit_matrix must be a finite {a.shape} matrix, got shape {k.shape}")
     powers = _power_roots(a, tuple(schedule))
     errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
     return ConvergenceReport(errors=tuple(errors))

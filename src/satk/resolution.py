@@ -115,6 +115,7 @@ def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
     m = dec.matrix.shape[0]
     if x.shape[0] != m:
         raise InvalidInput(f"vector has length {x.shape[0]}, expected {m}")
+    x = linalg.binary_scaled(x)
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return None

@@ -7,6 +7,8 @@ does not count, so a chain of test-only helpers is caught whole.
 
 Every matrix memo is a ``linalg.matrix_memo``: the tools of the memo policy
 appear nowhere else in ``src/satk``.
+
+Every BLAS and LAPACK call in ``src/satk`` passes its arguments by position.
 """
 
 import ast
@@ -91,4 +93,36 @@ def test_memo_policy_lives_in_linalg():
         if any(tool in line for tool in tools)
         and not (path.name == "linalg.py" and memo.lineno <= i <= memo.end_lineno)
     ]
+    assert found == []
+
+
+def test_lapack_calls_are_positional():
+    # f2py looks up each keyword argument by name, a few tenths of a
+    # microsecond per call against a flag step's few microseconds of LAPACK
+    # work; a routine bound to a name (gemm = blas.zgemm) is held to it too
+    def routine(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("lapack", "blas")
+        )
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    bound |= {t.id for t, v in pairs if isinstance(t, ast.Name) and routine(v)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and node.keywords
+            and (routine(node.func) or isinstance(node.func, ast.Name) and node.func.id in bound)
+        ]
     assert found == []

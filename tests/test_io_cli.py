@@ -379,6 +379,25 @@ def test_vector_exponent_levels_are_limit_moduli():
     assert set(exact) <= set(moduli)
 
 
+@pytest.mark.parametrize("c", [1e-170, 1e300])
+def test_cli_vector_exponent_of_a_scaled_vector(tmp_path, capsys, c):
+    # ||c x|| underflows at 1e-170 and overflows at 1e300: c x once read as
+    # the zero vector (exit 0 with exact 0) or as a vector of level 0.5
+    src = tmp_path / "a.json"
+    src.write_text('{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [0.5, 0]]}')
+
+    def run(scale):
+        config = json.dumps({"n": 16, "vectors": [[[scale, 0.0], [scale, 0.0]]]})
+        code = main(["vector-exponent", "--input", str(src), "--config", config])
+        return code, json.loads(capsys.readouterr().out)["results"]
+
+    code, results = run(c)
+    assert (code, results) == run(1.0)
+    # exponent 1, which 16 steps read 5% high: a recorded failure
+    assert results["exact"] == [1.0]
+    assert code == 1
+
+
 def test_cli_shift_means_after_a_zero_weight(tmp_path):
     out = tmp_path / "rec.json"
     config = json.dumps({"kind": "explicit", "values": [1.0, 0.0] + [0.5] * 400})

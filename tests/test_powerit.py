@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 
 from satk import linalg, powerit
 from satk.cli import run_command
@@ -7,7 +8,7 @@ from satk.decomp import dunford
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.records import RunConfig
-from satk.resolution import limit_operator, modulus_resolution
+from satk.resolution import limit_operator, modulus_resolution, vector_exponent_exact
 
 from conftest import clear_memos, dt_like, random_complex, random_invertible
 from oracles import (
@@ -227,6 +228,24 @@ def test_flag_run_matches_numpy_qr_reference(kind, a, ns):
         assert levels.max() == 0.0
 
 
+def test_flag_steps_keep_f2py_default_lwork():
+    # from m = 129 zgeqrf blocks by lwork // m columns: a smaller lwork than
+    # f2py's default 3 m takes its unblocked path and moves the bytes
+    m = 130
+    a = random_complex(np.random.default_rng(130), (m, m)) / np.sqrt(m)
+    diagonals = np.empty((3, m), dtype=np.complex128)
+    q = powerit._flag_steps(a, np.eye(m, dtype=np.complex128), diagonals)
+    ref_q, ref_diagonals = np.eye(m, dtype=np.complex128), []
+    for _ in diagonals:
+        qr, tau, _, info = lapack.zgeqrf(blas.zgemm(1.0, ref_q, a.T, trans_a=1).T)
+        assert info == 0
+        ref_diagonals.append(qr.diagonal())
+        ref_q, _, info = lapack.zungqr(qr, tau)
+        assert info == 0
+    assert diagonals.tobytes() == np.array(ref_diagonals).tobytes()
+    assert q.tobytes() == ref_q.tobytes()
+
+
 def _blocked_gate_cases():
     """14 acceptance instances (2 per dim), unitarily conjugated 6 x 6 direct
     sums of 2 x 2 blocks [[a, c], [0, b]], and DT-like matrices (eigenvalues
@@ -341,6 +360,54 @@ def test_vector_exponent_dead_orbit_exact_zero():
     assert powerit.vector_exponent_estimates(n, [1.0, 0.0], 500)[0] == 0.0
 
 
+def _vector_scale_cases():
+    # the 2 x 2 vectors' exponents are 1, 0.5 ([1, -0.5] spans the 0.5
+    # eigenspace), 1 and 1; the dim-4 instance takes random vectors
+    yield pytest.param(
+        np.array([[1, 1], [0, 0.5]], dtype=complex),
+        np.array([[1, 0], [1, -0.5], [1, 1], [0, 1]], dtype=complex).T,
+        id="fixture",
+    )
+    inst = generate_instance(31, InstanceSpec(dim=4))
+    yield pytest.param(inst.matrix, random_complex(np.random.default_rng(31), (4, 3)), id="dim-4")
+
+
+@pytest.mark.parametrize("n", ["exact", 16, 4096])
+@pytest.mark.parametrize("c", [1e170, 1e-170, 1e300, 1e-300])
+@pytest.mark.parametrize("a, xs", list(_vector_scale_cases()))
+def test_vector_exponent_is_scale_free(a, xs, c, n):
+    # ||c x|| overflows or underflows at these c, and x must not read as 0
+    # or as a vector of the lowest level
+    if n == "exact":
+        dec = dunford(a)
+        want = [vector_exponent_exact(dec, x) for x in xs.T]
+        assert [vector_exponent_exact(dec, c * x) for x in xs.T] == want
+    else:
+        want = powerit.vector_exponent_estimates(a, xs, n)
+        got = powerit.vector_exponent_estimates(a, c * xs, n)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert min(want) > 0.0
+
+
+def test_vector_exponent_of_entries_whose_modulus_overflows():
+    # |1.5e308 (1 + i)| is past float range though both parts are finite
+    a = np.array([[1, 1], [0, 0.5]], dtype=complex)
+    x = np.full(2, 1.5e308 * (1 + 1j))
+    assert vector_exponent_exact(dunford(a), x) == vector_exponent_exact(dunford(a), [1, 1]) == 1.0
+    for n in (16, 4096):
+        want = powerit.vector_exponent_estimates(a, [1, 1], n)
+        np.testing.assert_allclose(powerit.vector_exponent_estimates(a, x, n), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [[np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0.0, -np.inf)]])
+def test_vector_exponent_refuses_non_finite_vectors(x):
+    a = np.array([[1, 1], [0, 0.5]], dtype=complex)
+    with pytest.raises(InvalidInput):
+        powerit.vector_exponent_estimates(a, x, 4096)
+    with pytest.raises(InvalidInput):
+        vector_exponent_exact(dunford(a), x)
+
+
 def test_vector_exponent_fixture():
     assert powerit.vector_exponent_estimates(FIXTURE, [1, 0], 4096)[0] == pytest.approx(1.0, abs=1e-3)
     assert powerit.vector_exponent_estimates(FIXTURE, [1, 1], 4096)[0] == pytest.approx(2.0, abs=1e-3)
@@ -424,6 +491,16 @@ def test_normalized_power_spectrum_is_yamamoto_limits(a, n, on_flag):
 def test_convergence_study_rejects_bad_schedule():
     with pytest.raises(InvalidInput):
         powerit.convergence_study(np.eye(2), [16, 16], np.eye(2))
+
+
+@pytest.mark.parametrize("k", [np.eye(2), np.diag([1.0, np.nan, 0.5])])
+def test_convergence_study_checks_limit_before_the_read_out(monkeypatch, k):
+    def read_out(*args):
+        raise AssertionError("read-out before the check")
+
+    monkeypatch.setattr(powerit, "_power_roots", read_out)
+    with pytest.raises(InvalidInput, match="limit_matrix"):
+        powerit.convergence_study(np.diag([1.0, 0.7, 0.5]), [16, 4096], k)
 
 
 def test_similarity_equivalence_matches_literal_small_n(rng):
