@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .decomp import DunfordDecomposition, EigenCluster, SpectralIdempotent
 from .errors import InvalidInput
+from .mmio import MAX_DIM
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class InstanceSpec:
     min_real_gap: float = 0.0  # enforce pairwise separation of eigenvalue real parts
 
     def validate(self):
-        if self.dim < 1:
-            raise InvalidInput("dim must be at least 1")
+        if type(self.dim) is not int or not 1 <= self.dim <= MAX_DIM:
+            raise InvalidInput(f"dim must be an integer in [1, {MAX_DIM}], got {self.dim!r}")
         if self.min_ratio < 1.25:
             raise InvalidInput("min_ratio must be at least 1.25")
         if self.max_modulus <= 0:

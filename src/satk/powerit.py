@@ -296,8 +296,8 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.complex128)
     if xs.ndim == 1:
         xs = xs[:, None]
-    if xs.shape[0] != a.shape[0]:
-        raise InvalidInput("vector dimension mismatch")
+    if xs.ndim != 2 or xs.shape[0] != a.shape[0]:
+        raise InvalidInput(f"xs must be a vector or a matrix of {a.shape[0]} rows, got shape {xs.shape}")
     xs = linalg.binary_scaled(xs)
     norms = np.linalg.norm(xs, axis=0)
 
@@ -319,15 +319,15 @@ def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
 
 
 def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
-    """Errors ||A^n|^(1/n) - K|| over a schedule.
+    """Errors ||A^n|^(1/n) - K|| over a strictly increasing schedule of positive integers.
 
     One ``_power_roots`` call over the whole schedule: each n takes the path
     ``normalized_power`` takes, and the n on the flag path are all read from
     one flag run to the largest of them.
     """
-    schedule = [int(n) for n in schedule]
-    if not schedule or schedule[0] < 1 or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
-        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
+    schedule = [_positive_int(n) for n in schedule]
+    if not schedule or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
+        raise InvalidInput("schedule must be nonempty and strictly increasing")
     a = linalg.as_matrix(a)
     k = np.asarray(limit_matrix, dtype=np.complex128)
     if k.shape != a.shape or not np.isfinite(k).all():

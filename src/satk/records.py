@@ -1,23 +1,25 @@
 """Run records: deterministic JSON reports and CSV exports.
 
 Records serialize byte-identically for identical (config, seed, version):
-keys are sorted, floats use Python's shortest round-trip repr, and the
-``wall_time`` key is always null so timing noise never leaks into the bytes.
+each is one compact line from the stdlib's C JSON encoder, with sorted keys,
+floats in Python's shortest round-trip repr, and a ``wall_time`` key that is
+always null so timing noise never leaks into the bytes.  ``python -m
+json.tool`` prints a record indented.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import stat
 from dataclasses import asdict, dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-ARTIFACT_VERSION = "2.0.0"
+ARTIFACT_VERSION = "3.0.0"
 RNG_NAME = "numpy.random.Generator(PCG64)"
 
 
@@ -81,40 +83,7 @@ class RunRecord:
         }
 
     def to_json(self) -> str:
-        return _dumps(self.to_dict()) + "\n"
-
-
-def _dumps(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``, byte for byte.
-
-    With an indent, ``json.dumps`` always runs its pure-Python encoder: a
-    generator per container and a yield per token.  This returns the same
-    bytes with one join per container, and writes a finite float inside a
-    list without a call.  ``pad`` is the newline and indent of ``obj``'s line.
-    """
-    if isinstance(obj, (list, tuple)):
-        inner = pad + " "
-        items = [float.__repr__(v) if type(v) is float and v - v == 0.0 else _dumps(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    if isinstance(obj, dict):
-        inner = pad + " "
-        items = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (math.inf, -math.inf):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _jsonable(obj):

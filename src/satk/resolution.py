@@ -92,8 +92,15 @@ def _weighted_sum(res: LevelResolution, weight) -> LimitOperator:
 
 
 def limit_operator(res: LevelResolution) -> LimitOperator:
-    """Closed form of lim |A^n|^(1/n): K = sum_j a_j (F_j - F_{j-1})."""
-    return _weighted_sum(res, float)
+    """Closed form of lim |A^n|^(1/n): K = sum_j a_j (F_j - F_{j-1}).
+
+    Refused when K leaves float range, as the mean modulus of a cluster near
+    the float maximum does: that limit cannot be computed unscaled.
+    """
+    k = _weighted_sum(res, float)
+    if not np.isfinite(k.matrix).all():
+        raise InvalidInput(f"the limit of top modulus {res.levels[-1]:.6g} leaves float range")
+    return k
 
 
 def semigroup_limit(res: LevelResolution) -> LimitOperator:

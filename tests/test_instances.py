@@ -63,6 +63,13 @@ def test_min_real_gap_enforced():
             assert hi - lo >= 0.2 - 1e-12
 
 
+@pytest.mark.parametrize("dim", [3.5, 4.0, True, 1025])
+def test_spec_refuses_dim_that_is_no_integer_in_range(dim):
+    # 3.5 - 1 - 2 ... never reaches 0: the multiplicities loop ran forever
+    with pytest.raises(InvalidInput, match="dim must be an integer"):
+        generate_instance(0, InstanceSpec(dim=dim))
+
+
 def test_spec_validation():
     with pytest.raises(InvalidInput):
         generate_instance(0, InstanceSpec(dim=0))

@@ -399,6 +399,13 @@ def test_vector_exponent_of_entries_whose_modulus_overflows():
         np.testing.assert_allclose(powerit.vector_exponent_estimates(a, x, n), want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [16, 4096])
+def test_vector_exponent_refuses_three_dimensional_xs(n):
+    # numpy's matmul ValueError once escaped
+    with pytest.raises(InvalidInput, match="got shape"):
+        powerit.vector_exponent_estimates(np.eye(2), np.ones((2, 2, 2)), n)
+
+
 @pytest.mark.parametrize("x", [[np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0.0, -np.inf)]])
 def test_vector_exponent_refuses_non_finite_vectors(x):
     a = np.array([[1, 1], [0, 0.5]], dtype=complex)
@@ -491,6 +498,12 @@ def test_normalized_power_spectrum_is_yamamoto_limits(a, n, on_flag):
 def test_convergence_study_rejects_bad_schedule():
     with pytest.raises(InvalidInput):
         powerit.convergence_study(np.eye(2), [16, 16], np.eye(2))
+
+
+def test_convergence_study_refuses_fractional_schedule():
+    # int() once ran [16, 64] for this schedule
+    with pytest.raises(InvalidInput, match="positive integer"):
+        powerit.convergence_study(np.eye(2), [16.5, 64.2], np.eye(2))
 
 
 @pytest.mark.parametrize("k", [np.eye(2), np.diag([1.0, np.nan, 0.5])])
