@@ -48,7 +48,6 @@ from .shifts import (
     backward_classifier,
     geometric_mean_table,
     shift_power_crosscheck,
-    truncate_forward,
     uniform_limit_detector,
 )
 

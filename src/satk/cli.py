@@ -171,13 +171,12 @@ def _cmd_shift(
     level = {"constant": 1.0, "blocks": 2.0}.get(kind, 0.0) if level is None else level
     values, ratio, level = tuple(values or ()), float(ratio), float(level)
     w = shifts.WeightSequence(kind, values=values, ratio=ratio, level=level)
-    table = shifts.geometric_mean_table(w, int(start_max), int(length_max))
+    table = shifts.geometric_mean_table(w, start_max, length_max)
     det = shifts.uniform_limit_detector(table, tol=float(detector_tol))
     record.results["converged"] = det.converged
     record.results["alpha"] = det.alpha
     record.results["witness"] = det.witness
     record.results["backward_converges"] = shifts.backward_classifier(w)
-    m, n = int(m), int(n)
     record.add_check("crosscheck_deviation", shifts.shift_power_crosscheck(w, m, n), float(tol))
     record.results["crosscheck"] = {"m": m, "n": n, "interior_cells": m - n}
 

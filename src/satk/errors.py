@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the positive-integer check that raises InvalidInput."""
+
+import numbers
 
 
 class InvalidInput(ValueError):
@@ -32,3 +34,10 @@ class ParseError(ValueError):
 
 class UsageError(ValueError):
     """Bad command-line usage (unknown command, missing argument)."""
+
+
+def positive_int(value, name: str = "n") -> int:
+    """``value`` as an int; InvalidInput unless it is a number, not a bool, and a whole one >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 1 or value % 1:
+        raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

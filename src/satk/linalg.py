@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernels: validation, exact vector scaling, the matrix memo, SVD, norms and range projections.
 
 All operations act on ``numpy`` arrays of ``complex128``, square but for the
-vectors of ``binary_scaled``, and are pure: inputs are never mutated and
+vectors of ``binary_scaled`` and ``binary_split``, and are pure: inputs are never mutated and
 results are freshly allocated, except those of a ``matrix_memo``, which are
 shared and read-only.
 """
@@ -37,10 +37,17 @@ def binary_scaled(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if not np.isfinite(x).all():
         raise InvalidInput("vector has non-finite entries")
+    return binary_split(x)[0]
+
+
+def binary_split(x) -> tuple:
+    """(u, e) with x = u * 2**e exactly: u is ``binary_scaled(x)`` and e its
+    exponents, one per column (0 for a zero column).  x is a complex array,
+    not checked for finiteness."""
     _, e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=0))
     out = np.empty_like(x)
     out.real, out.imag = np.ldexp(x.real, -e), np.ldexp(x.imag, -e)
-    return out
+    return out, e
 
 
 def matrix_memo(maxsize: int):

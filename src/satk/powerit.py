@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import linalg
-from .errors import InvalidInput
+from .errors import InvalidInput, positive_int
 
 # Exact (single scaled matrix) path is trusted while the singular spread of the
 # unit matrix stays above this, keeping small singulars clear of the SVD noise
@@ -38,9 +38,6 @@ _BLOCK_SINGULAR_FLOOR = 1e-290
 # The most steps a flag run (or a propagator in satk.semigroup) takes: a run
 # holds (n // k) x m complex diagonals, 512 MB at m = 8 and k = 1.
 _MAX_STEPS = 2**22
-# A column norm in this range comes out of the plain sum of squares at full
-# precision: no square overflows, and subnormal squares lose at most eps.
-_EXACT_NORMS = (np.sqrt(np.finfo(float).tiny / np.finfo(float).eps), np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,9 @@ class ConvergenceReport:
     errors: tuple  # one per n of the schedule, in its order
 
 
-def _positive_int(n) -> int:
-    if n < 1 or int(n) != n:
-        raise InvalidInput(f"n must be a positive integer, got {n}")
-    return int(n)
-
-
 def scaled_power(a, n: int) -> ScaledPower:
     """A^n by binary exponentiation, renormalized to unit spectral norm per multiply."""
-    return _scaled_powers(linalg.as_matrix(a), (_positive_int(n),))[0]
+    return _scaled_powers(linalg.as_matrix(a), (positive_int(n),))[0]
 
 
 def _scaled_powers(a, ns) -> list:
@@ -256,13 +247,13 @@ def _rebuild(v, roots):
 
 def normalized_power(a, n: int) -> np.ndarray:
     """|A^n|^(1/n) as a PSD matrix."""
-    (v, roots), = _power_roots(a, (_positive_int(n),))
+    (v, roots), = _power_roots(a, (positive_int(n),))
     return _rebuild(v, roots)
 
 
 def yamamoto_limits(a, n: int) -> np.ndarray:
     """(s_1(A^n)^(1/n), ..., s_m(A^n)^(1/n)), descending; zero singulars map to 0."""
-    (_, roots), = _power_roots(a, (_positive_int(n),))
+    (_, roots), = _power_roots(a, (positive_int(n),))
     return np.sort(roots)[::-1]
 
 
@@ -270,29 +261,27 @@ def orbit_log_norms(a, v, n: int) -> np.ndarray:
     """log ||A^n v_j|| for each column of v, renormalizing every column at every step.
 
     Logs of products that leave float range stay finite; a column whose orbit
-    reaches zero gets -inf.  A column whose plain norm leaves _EXACT_NORMS
-    has it taken again from the column scaled by its largest modulus.
+    reaches zero gets -inf.  Each step takes a column's norm and direction
+    from the column scaled by a power of two (``linalg.binary_split``).  The
+    scaling is exact, so where the plain norm and division neither overflow
+    nor underflow it gives their bytes, and elsewhere it keeps the precision
+    they lose: squares leave float range, and numpy divides a complex array
+    by a real one through the reciprocal, which overflows at a subnormal norm.
     """
     logs = np.zeros(v.shape[1])
     for _ in range(n):
-        v = a @ v
-        with np.errstate(over="ignore"):
-            step = np.linalg.norm(v, axis=0)
-        redo = ~((step >= _EXACT_NORMS[0]) & (step <= _EXACT_NORMS[1]))
-        if redo.any():
-            scale = np.abs(v[:, redo]).max(axis=0)
-            scale[scale == 0.0] = 1.0
-            step[redo] = scale * np.linalg.norm(v[:, redo] / scale, axis=0)
+        u, e = linalg.binary_split(a @ v)
+        unit = np.linalg.norm(u, axis=0)
         with np.errstate(divide="ignore"):
-            logs += np.log(step)  # a norm of 0 makes the log -inf for good
-        v = v / np.where(step > 0.0, step, 1.0)
+            logs += np.log(np.ldexp(unit, e))  # a norm of 0 makes the log -inf for good
+        v = u / np.where(unit > 0.0, unit, 1.0)
     return logs
 
 
 def vector_exponent_estimates(a, xs, n: int) -> np.ndarray:
     """Growth exponents lim ||A^n x||^(1/n) for a batch of vectors (columns of xs)."""
     a = linalg.as_matrix(a)
-    n = _positive_int(n)
+    n = positive_int(n)
     xs = np.asarray(xs, dtype=np.complex128)
     if xs.ndim == 1:
         xs = xs[:, None]
@@ -325,7 +314,7 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     ``normalized_power`` takes, and the n on the flag path are all read from
     one flag run to the largest of them.
     """
-    schedule = [_positive_int(n) for n in schedule]
+    schedule = [positive_int(n) for n in schedule]
     if not schedule or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise InvalidInput("schedule must be nonempty and strictly increasing")
     a = linalg.as_matrix(a)

@@ -1,4 +1,4 @@
-"""Weighted unilateral shifts: geometric-mean tables, convergence heuristics, truncations.
+"""Weighted unilateral shifts: geometric-mean tables, convergence heuristics, the power crosscheck.
 
 Weights are indexed from k = 1 with the convention w_0 = 0; a truncation acts
 on span(delta_1 .. delta_m).
@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
-from .powerit import orbit_log_norms
+from .errors import InvalidInput, positive_int
 
 # The detector's tail block is the last 1/_TAIL_FRACTION of the window lengths.
 _TAIL_FRACTION = 4
@@ -81,8 +80,7 @@ class DetectorResult:
 def geometric_mean_table(w: WeightSequence, start_max: int, length_max: int) -> np.ndarray:
     """The (start_max, length_max) array of sliding geometric means
     alpha[k-1, n-1] = (prod_{i<n} |w_{k+i}|)^(1/n), via log prefix sums."""
-    if start_max < 1 or length_max < 1:
-        raise InvalidInput("table dimensions must be at least 1")
+    start_max, length_max = positive_int(start_max, "start_max"), positive_int(length_max, "length_max")
     mags = w.weights(start_max + length_max - 1)
     # a zero weight adds log 1 = 0 here; the zero count below zeroes its windows
     prefix = np.concatenate([[0.0], np.cumsum(np.log(np.where(mags > 0, mags, 1.0)))])
@@ -120,16 +118,6 @@ def uniform_limit_detector(table: np.ndarray, tol: float = 1e-2) -> DetectorResu
     return DetectorResult(converged=False, witness=witness)
 
 
-def truncate_forward(w: WeightSequence, m: int) -> np.ndarray:
-    """m x m truncation of the forward shift: w_k at cell (k+1, k), 1-indexed."""
-    if m < 2:
-        raise InvalidInput("truncation dimension must be at least 2")
-    mags = w.weights(m - 1)
-    out = np.zeros((m, m), dtype=np.complex128)
-    out[np.arange(1, m), np.arange(m - 1)] = mags
-    return out
-
-
 def backward_classifier(w: WeightSequence) -> bool:
     """Whether the backward shift's normalized power sequence converges (iff w_n -> 0).
 
@@ -151,21 +139,18 @@ def shift_power_crosscheck(w: WeightSequence, m: int, n: int) -> float:
     |F^n|^2 is exactly diagonal with entries prod |w|^2 over the sliding
     window, so the comparison isolates index bookkeeping and roundoff.
     """
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
+    m, n = positive_int(m, "m"), positive_int(n, "n")
     if n > m // 2:
         raise InvalidInput(f"power {n} exceeds the truncation interior (m/2 = {m // 2})")
-    # Column norms of F^n from a renormalized orbit of the identity: window
-    # products like q^1000 leave float range, their logs do not.  The orbit is
-    # called directly: the public estimator switches to flag rates past n = 128.
-    # F has at most one entry per row: its sparse form gives the dense orbit bit
-    # for bit at O(m) per column and step.  scipy.sparse (15 ms and 1.8 MB to
-    # import) is imported only here, where it is used.
-    import scipy.sparse
-
-    f = scipy.sparse.csr_array(truncate_forward(w, m))
-    logs = orbit_log_norms(f, np.eye(m, dtype=np.complex128), n)
-    roots = np.exp(logs / n)
+    # F^s delta_j = (w_j ... w_(j+s-1)) delta_(j+s): each of the m - n interior
+    # columns keeps one entry, inside the truncation for all n steps.  Its log
+    # modulus is carried, so window products like q^1000 keep their logs; a
+    # zero weight gives -inf, and a root of 0.
     interior = m - n
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w.weights(m - 1))
+    logs = np.zeros(interior)
+    for s in range(n):
+        logs += log_w[s : s + interior]
     table = geometric_mean_table(w, interior, n)
-    return float(np.abs(roots[:interior] - table[:, n - 1]).max())
+    return float(np.abs(np.exp(logs / n) - table[:, n - 1]).max())

@@ -156,6 +156,16 @@ def scaled_matrix(sp) -> np.ndarray:
     return np.exp(sp.log_scale) * sp.unit
 
 
+def truncate_forward(w, m: int) -> np.ndarray:
+    """m x m truncation of the forward shift: w_k at cell (k+1, k), 1-indexed."""
+    if m < 2:
+        raise InvalidInput("truncation dimension must be at least 2")
+    mags = w.weights(m - 1)
+    out = np.zeros((m, m), dtype=np.complex128)
+    out[np.arange(1, m), np.arange(m - 1)] = mags
+    return out
+
+
 def truncate_backward(w, m: int) -> np.ndarray:
     """m x m truncation of the backward shift: w_k at cell (k-1, k), 1-indexed."""
     if m < 2:

@@ -421,6 +421,46 @@ def test_cli_shift_means_after_a_zero_weight(tmp_path):
     assert rec["results"]["witness"] == [[3, 193], [1, 193]]
 
 
+@pytest.mark.parametrize("ratio", [0.05, 0.001])
+def test_cli_shift_of_weights_that_reach_subnormals(tmp_path, ratio):
+    # q^k is subnormal within 256 weights: the dense orbit once divided by a
+    # subnormal norm and recorded a "nan" deviation
+    out = tmp_path / "rec.json"
+    config = json.dumps({"kind": "geometric", "ratio": ratio})
+    assert main(["shift", "--config", config, "--out", str(out)]) == 0
+    value = json.loads(out.read_text())["checks"][0]["value"]
+    assert isinstance(value, float) and value <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        ({"m": 256.9, "n": 32.5}, "m"),
+        ({"n": 32.5}, "n"),
+        ({"start_max": 64.5, "length_max": 256.7}, "start_max"),
+        ({"length_max": 256.7}, "length_max"),
+        ({"m": True}, "m"),
+    ],
+    ids=["m-and-n", "n", "start_max-and-length_max", "length_max", "bool-m"],
+)
+def test_cli_shift_refuses_sizes_that_are_no_positive_integer(tmp_path, config, name):
+    # int() once ran 256.9 as 256 and exited 0
+    out = tmp_path / "rec.json"
+    assert main(["shift", "--config", json.dumps(config), "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert error["type"] == "InvalidInput"
+    assert error["message"].startswith(f"{name} must be a positive integer")
+
+
+def test_cli_vector_exponent_of_a_subnormal_level(tmp_path, capsys):
+    # numpy's complex division by a subnormal norm once read "nan" here
+    src = tmp_path / "a.json"
+    src.write_text('{"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [5e-320, 0]]}')
+    assert main(["vector-exponent", "--input", str(src), "--config", '{"n": 16}']) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["estimates"] == results["exact"] == [0.5, 5e-320]
+
+
 def test_cli_inline_config_longer_than_a_file_name(capsys):
     # past 255 bytes the text is no legal file name: it must still read as JSON
     vectors = [[[float(i == j), 0.0] for i in range(4)] for j in range(4)]

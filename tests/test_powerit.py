@@ -399,6 +399,13 @@ def test_vector_exponent_of_entries_whose_modulus_overflows():
         np.testing.assert_allclose(powerit.vector_exponent_estimates(a, x, n), want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("c", [1e-310, 5e-320])
+def test_vector_exponent_of_a_subnormal_matrix(c):
+    # the n <= 128 orbit once divided by a subnormal norm: inf + nan j
+    (got,) = powerit.vector_exponent_estimates([[c]], [1.0], 16)
+    assert got == pytest.approx(c, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [16, 4096])
 def test_vector_exponent_refuses_three_dimensional_xs(n):
     # numpy's matmul ValueError once escaped

@@ -9,7 +9,7 @@ from satk.errors import InvalidInput
 from satk.shifts import WeightSequence
 from satk.powerit import orbit_log_norms
 
-from oracles import truncate_backward
+from oracles import truncate_backward, truncate_forward
 
 
 def test_weight_kinds_values():
@@ -73,7 +73,7 @@ def test_detector_blocks_not_converged_with_witness():
 
 def test_truncation_layouts():
     w = WeightSequence("explicit", values=(1.0, 2.0, 3.0, 4.0))
-    f = shifts.truncate_forward(w, 4)
+    f = truncate_forward(w, 4)
     b = truncate_backward(w, 4)
     expect_f = np.zeros((4, 4))
     expect_f[1, 0], expect_f[2, 1], expect_f[3, 2] = 1.0, 2.0, 3.0
@@ -107,9 +107,9 @@ def test_backward_classifier():
     ids=lambda w: w.kind,
 )
 def test_sparse_orbit_is_dense_orbit(w, m, n):
-    # the crosscheck iterates the sparse truncation; its logs are the dense
-    # orbit's bytes.  Columns evolve independently, so 16 of them suffice.
-    f = shifts.truncate_forward(w, m)
+    # a sparse truncation's orbit has the dense orbit's bytes.  Columns
+    # evolve independently, so 16 of them suffice.
+    f = truncate_forward(w, m)
     v = np.eye(m, dtype=np.complex128)[:, np.linspace(0, m - 1, 16).astype(int)]
     sparse = orbit_log_norms(scipy.sparse.csr_array(f), v, n)
     assert sparse.tobytes() == orbit_log_norms(f, v, n).tobytes()
@@ -119,7 +119,7 @@ def test_sparse_orbit_is_dense_orbit(w, m, n):
 def test_orbit_log_norms_of_dying_columns(sparse):
     # a column whose norm reaches 0 exactly reads -inf from that step on; one
     # whose squares underflow (|1e-170|^2 is below the smallest float) keeps
-    # its log, from the column scaled by its largest entry
+    # its log, from the column scaled by a power of two
     a = np.zeros((4, 4), dtype=np.complex128)
     a[0, 0], a[2, 1], a[3, 3] = 1e-170, 1.0, 0.5
     if sparse:
@@ -135,6 +135,38 @@ def test_orbit_log_norms_of_dying_columns(sparse):
 def test_crosscheck_guards():
     with pytest.raises(InvalidInput):
         shifts.shift_power_crosscheck(WeightSequence("harmonic"), 16, 9)
+
+
+@pytest.mark.parametrize("m, n", [(256.9, 32), (256, 32.5), (True, 1), (64, "8")])
+def test_crosscheck_sizes_are_positive_integers(m, n):
+    # int() once ran 256.9 as 256 and 32.5 as 32
+    w = WeightSequence("harmonic")
+    with pytest.raises(InvalidInput, match="positive integer"):
+        shifts.shift_power_crosscheck(w, m, n)
+    with pytest.raises(InvalidInput, match="positive integer"):
+        shifts.geometric_mean_table(w, m, n)
+
+
+@pytest.mark.parametrize(
+    "w, m, n",
+    [
+        (WeightSequence("harmonic"), 64, 20),
+        (WeightSequence("geometric", ratio=0.3), 64, 20),
+        (WeightSequence("constant", level=1.37), 64, 32),
+        (WeightSequence("blocks", level=2.71), 64, 20),
+        (WeightSequence("explicit", values=(1.0, 0.0) + (0.5,) * 62), 48, 16),
+        (WeightSequence("geometric", ratio=0.05), 64, 32),
+    ],
+    ids=["harmonic", "geometric", "constant", "blocks", "explicit-zero", "geometric-0.05"],
+)
+def test_crosscheck_is_the_dense_orbit_deviation(w, m, n):
+    # the crosscheck carries one log per column; the renormalized orbit of
+    # the identity under the dense truncation gives the same deviation
+    logs = orbit_log_norms(truncate_forward(w, m), np.eye(m, dtype=np.complex128), n)
+    interior = m - n
+    table = shifts.geometric_mean_table(w, interior, n)
+    dense = float(np.abs(np.exp(logs[:interior] / n) - table[:, n - 1]).max())
+    assert shifts.shift_power_crosscheck(w, m, n) == dense
 
 
 @settings(max_examples=30, deadline=None)
