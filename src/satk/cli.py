@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg, shifts
 from .decomp import dunford
-from .errors import UsageError
+from .errors import UsageError, positive_int
 from .instances import InstanceSpec, generate_instance
 from .mmio import parse_matrix, read_source
 from .powerit import (
@@ -128,7 +128,6 @@ def _cmd_limit(record, config, tol=1e-8, instance=None):
 
 def _cmd_iterate(record, config, schedule=_DEFAULT_SCHEDULE, tol=1e-3, instance=None):
     a = _acquire(config, instance)
-    schedule = [int(n) for n in schedule]
     k = limit_operator(modulus_resolution(dunford(a)))
     report = convergence_study(a, schedule, k.matrix)
     record.add_check("final_error", report.errors[-1], float(tol))
@@ -138,7 +137,7 @@ def _cmd_iterate(record, config, schedule=_DEFAULT_SCHEDULE, tol=1e-3, instance=
 
 def _cmd_yamamoto(record, config, n=4096, tol=1e-3, instance=None):
     a = _acquire(config, instance)
-    vals = yamamoto_limits(a, int(n))
+    vals = yamamoto_limits(a, n)
     expected = _sorted_moduli(a)
     record.add_check("max_deviation", float(np.max(np.abs(vals - expected))), float(tol))
     record.results["limits"] = vals
@@ -147,7 +146,7 @@ def _cmd_yamamoto(record, config, n=4096, tol=1e-3, instance=None):
 
 def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instance=None):
     a = _acquire(config, instance)
-    n, tol = int(n), float(tol)
+    tol = float(tol)
     dec = dunford(a)
     m = a.shape[0]
     if vectors is not None:
@@ -216,7 +215,7 @@ def _sweep_one(seed, spec, n):
 
 
 def _cmd_sweep(record, config, count=50, n=4096, tol=1e-3, instance=None):
-    count, n, tol = int(count), int(n), float(tol)
+    count, tol = positive_int(count, "count"), float(tol)
     spec = InstanceSpec(**(instance or {}))
     rows = [_sweep_one(config.seed + i, spec, n) for i in range(count)]
     max_k = max(r["power_error"] for r in rows)

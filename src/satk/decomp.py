@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import linalg
 from .errors import IllConditioned, NumericalFailure
+from .linalg import lapack
 
 # A split of the Schur form is refused when sep(T11, T22) is below
 # SEP_FLOOR * max(1, ||A||): the error of its invariant subspace is about

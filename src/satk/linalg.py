@@ -4,17 +4,44 @@ All operations act on ``numpy`` arrays of ``complex128``, square but for the
 vectors of ``binary_scaled`` and ``binary_split``, and are pure: inputs are never mutated and
 results are freshly allocated, except those of a ``matrix_memo``, which are
 shared and read-only.
+
+``lapack`` and ``blas`` are scipy's compiled f2py modules ``_flapack`` and
+``_fblas``, the ones ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
+re-export, loaded from their files in scipy's ``linalg`` directory without
+importing the ``scipy.linalg`` package, whose ``__init__`` costs a fresh
+process a few hundred milliseconds (it imports ``numpy.f2py``,
+``numpy.testing``, ``numpy.ma`` and ``numpy.random``).  Every LAPACK and BLAS
+routine of satk is taken from these two names.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidInput
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, run from its file on
+    its own; ImportError naming it when scipy or the file is missing."""
+    scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+    path = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
+    if spec is None:
+        raise ImportError(f"scipy.linalg.{name} not found in {path}", name=f"scipy.linalg.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _scipy_linalg_extension("_flapack")
+blas = _scipy_linalg_extension("_fblas")
 
 
 def as_matrix(a) -> np.ndarray:

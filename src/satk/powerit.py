@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from . import linalg
 from .errors import InvalidInput, positive_int
+from .linalg import blas, lapack
 
 # Exact (single scaled matrix) path is trusted while the singular spread of the
 # unit matrix stays above this, keeping small singulars clear of the SVD noise

@@ -7,7 +7,6 @@ real-part-keyed level resolution of ``satk.resolution``, re-exported here.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import InvalidInput
@@ -23,6 +22,8 @@ _STEP_NORM_CAP = 0.5
 
 def matrix_exp_scaled(a, t: float) -> ScaledPower:
     """exp(tA) by scaling and squaring: the 2^s-th power of exp((t / 2^s) A)."""
+    import scipy.linalg  # here, not at import: only expm needs the package, a few hundred ms to load
+
     a = linalg.as_matrix(a)
     if t < 0:
         raise InvalidInput(f"t must be non-negative, got {t}")

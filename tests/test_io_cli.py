@@ -247,6 +247,23 @@ def _fresh_process_main(argv):
     return subprocess.run([sys.executable, "-m", "satk.cli", *argv], env=env).returncode
 
 
+def test_cli_start_up_loads_no_scipy_linalg(tmp_path):
+    # satk takes LAPACK and BLAS from scipy's two compiled modules; only
+    # semigroup's expm imports the scipy.linalg package (and numpy.f2py with it)
+    code = (
+        "import json, sys\n"
+        "import satk, satk.cli\n"
+        "status = satk.cli.main(['limit', '--seed', '1', '--out', sys.argv[1]])\n"
+        "after_limit = sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules))\n"
+        "satk.cli.main(['semigroup', '--seed', '1', '--out', sys.argv[1]])\n"
+        "print(json.dumps([status, after_limit, 'scipy.linalg' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rec.json")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, [], True]
+
+
 def test_cli_parser_reused_after_usage_errors(tmp_path, capsys):
     # main builds its parser once per process; usage errors must leave it as
     # a fresh process would have it
@@ -447,6 +464,28 @@ def test_cli_shift_refuses_sizes_that_are_no_positive_integer(tmp_path, config, 
     # int() once ran 256.9 as 256 and exited 0
     out = tmp_path / "rec.json"
     assert main(["shift", "--config", json.dumps(config), "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert error["type"] == "InvalidInput"
+    assert error["message"].startswith(f"{name} must be a positive integer")
+
+
+@pytest.mark.parametrize(
+    "command, config, name",
+    [
+        (command, {"n": n}, "n")
+        for command in ("yamamoto", "vector-exponent")
+        for n in (4096.5, True, "64")
+    ]
+    + [("iterate", {"schedule": [16.5, 64.2]}, "n"), ("sweep", {"count": 2.7}, "count")],
+    ids=[
+        f"{command}-{kind}" for command in ("yamamoto", "vector-exponent") for kind in ("float", "bool", "str")
+    ]
+    + ["iterate-floats", "sweep-count"],
+)
+def test_cli_refuses_sizes_that_are_no_positive_integer(tmp_path, command, config, name):
+    # int() once ran 4096.5 as 4096, True as 1 and "64" as 64, and exited 0
+    out = tmp_path / "rec.json"
+    assert main([command, "--seed", "1", "--config", json.dumps(config), "--out", str(out)]) == 1
     (error,) = json.loads(out.read_text())["errors"]
     assert error["type"] == "InvalidInput"
     assert error["message"].startswith(f"{name} must be a positive integer")

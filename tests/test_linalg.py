@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +299,49 @@ def test_property_range_projection_of_projection_is_itself(m, seed):
     rank = int(rng.integers(0, m + 1))
     p = random_projection(rng, m, rank) if rank else np.zeros((m, m), dtype=complex)
     assert np.linalg.norm(linalg.range_projection(p) - p, 2) < 1e-10
+
+
+def _bound_routine_calls():
+    """(module, routine, args): each LAPACK and BLAS routine satk binds, with
+    one call on random input."""
+    rng = np.random.default_rng(23)
+    a, b = random_complex(rng, (5, 5)), random_complex(rng, (5, 5))
+    t = np.triu(a)
+    qr, tau = scipy.linalg.lapack.zgeqrf(a)[:2]
+    calls = [
+        ("blas", "zgemm", (1.0, a, b)),
+        ("lapack", "zgeqrf", (a,)),
+        ("lapack", "zungqr", (qr, tau)),
+        ("lapack", "zgesdd", (a,)),
+        ("lapack", "zgees", (lambda w: 0, a)),
+        ("lapack", "ztrsen", (np.array([0, 1, 0, 1, 1]), t, np.eye(5, dtype=complex))),
+        ("lapack", "ztrsyl", (t[:2, :2], t[2:, 2:], b[:2, 2:])),
+    ]
+    return [pytest.param(*call, id=call[1]) for call in calls]
+
+
+def test_missing_scipy_module_raises_import_error_naming_it():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._nope not found") as exc:
+        linalg._scipy_linalg_extension("_nope")
+    assert exc.value.name == "scipy.linalg._nope"
+
+
+def test_bound_routines_are_the_checked_ones():
+    src = Path(linalg.__file__).parent
+    used = {m.groups() for path in src.glob("*.py") for m in re.finditer(r"\b(lapack|blas)\.(z\w+)", path.read_text())}
+    assert used == {call.values[:2] for call in _bound_routine_calls()}
+
+
+@pytest.mark.parametrize("module, routine, args", _bound_routine_calls())
+def test_bound_routine_is_scipys(module, routine, args):
+    # satk loads scipy's compiled _flapack and _fblas on their own; their
+    # routines must be the ones scipy.linalg.lapack and .blas re-export
+    ours, scipys = getattr(getattr(linalg, module), routine), getattr(getattr(scipy.linalg, module), routine)
+    assert ours.__doc__ == scipys.__doc__
+    got, want = ours(*args), scipys(*args)
+    if routine == "zgemm":  # the one that returns an array, not a tuple
+        got, want = (got,), (want,)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -201,20 +201,34 @@ def _flag_kernel_cases():
     yield pytest.param("generic", 1e-40 * b, id="scaled-1e-40")
 
 
+# (65, 1000, 4096), iterate's default schedule and the custom one of the
+# record corpus: those read out at many points, several of them (6, 12, 75,
+# 100, 150) off the block trunk
+_FLAG_SCHEDULES = (("", (65, 1000, 4096)), ("-default", SCHEDULE), ("-custom", (8, 16, 32, 64, 100, 200)))
+_FLAG_REFERENCES = {}
+
+
 def _flag_kernel_runs():
-    """Each kernel case read out at (65, 1000, 4096), and at iterate's default
-    schedule and the custom one of the record corpus: those read out at many
-    points, several of them (6, 12, 75, 100, 150) off the block trunk."""
+    """Each kernel case, with its id, read out at each of _FLAG_SCHEDULES."""
     for case in _flag_kernel_cases():
-        for suffix, ns in (("", (65, 1000, 4096)), ("-default", SCHEDULE), ("-custom", (8, 16, 32, 64, 100, 200))):
-            yield pytest.param(*case.values, ns, id=case.id + suffix)
+        for suffix, ns in _FLAG_SCHEDULES:
+            yield pytest.param(*case.values, ns, case.id, id=case.id + suffix)
 
 
-@pytest.mark.parametrize("kind, a, ns", list(_flag_kernel_runs()))
-def test_flag_run_matches_numpy_qr_reference(kind, a, ns):
+def _shared_reference(case, a, k):
+    """``_reference_flag_run`` of a kernel case at every point of its three
+    schedules, run once per case: a read-out at n depends only on n and k."""
+    if case not in _FLAG_REFERENCES:
+        points = sorted(set().union(*(ns for _, ns in _FLAG_SCHEDULES)))
+        _FLAG_REFERENCES[case] = _reference_flag_run(a, points, k)
+    return _FLAG_REFERENCES[case]
+
+
+@pytest.mark.parametrize("kind, a, ns, case", list(_flag_kernel_runs()))
+def test_flag_run_matches_numpy_qr_reference(kind, a, ns, case):
     k = powerit._block_power(a)[0]
     assert (k > 1) == (kind == "generic")
-    ref = _reference_flag_run(a, ns, k)
+    ref = _shared_reference(case, a, k)
     combined = powerit._flag_run(a, ns)
     for n, (q, levels) in zip(ns, combined):
         (q1, levels1), = powerit._flag_run(a, (n,))
