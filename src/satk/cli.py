@@ -34,9 +34,9 @@ import numpy as np
 
 from . import linalg, shifts
 from .decomp import dunford
-from .errors import UsageError, positive_int
+from .errors import UsageError, positive_int, real_number
 from .instances import InstanceSpec, generate_instance
-from .mmio import parse_matrix, read_source
+from .mmio import complex_pairs, parse_matrix, read_source
 from .powerit import (
     convergence_study,
     normalized_power,
@@ -82,12 +82,12 @@ def _load_config(text):
     return obj
 
 
-def _acquire(config: RunConfig, instance):
+def _acquire(config: RunConfig, instance: InstanceSpec):
     """The matrix of ``--input``, or the generated instance of ``--seed``: the
     command then takes the same numeric path whichever made it."""
     if config.input_path is not None:
         return parse_matrix(config.input_path)
-    return generate_instance(config.seed, InstanceSpec(**(instance or {}))).matrix
+    return generate_instance(config.seed, instance).matrix
 
 
 def _sorted_moduli(a):
@@ -99,7 +99,7 @@ def _cmd_decompose(record, config, tol=1e-8, instance=None):
     dec = dunford(a)
     m = a.shape[0]
     scale = max(1.0, linalg.norm2(a))
-    tol = float(tol) * scale
+    tol *= scale
     record.add_check("reconstruction", linalg.norm2(dec.scalar_part + dec.nilpotent_part - a), tol)
     record.add_check(
         "idempotency",
@@ -120,7 +120,7 @@ def _cmd_decompose(record, config, tol=1e-8, instance=None):
 def _cmd_limit(record, config, tol=1e-8, instance=None):
     a = _acquire(config, instance)
     res = modulus_resolution(dunford(a))
-    record.add_check("invariant_subspace", check_resolution(a, res), float(tol))
+    record.add_check("invariant_subspace", check_resolution(a, res), tol)
     k = limit_operator(res)
     record.results["limit_matrix"] = k.matrix
     record.results["moduli"] = list(k.spectrum_moduli)
@@ -130,7 +130,7 @@ def _cmd_iterate(record, config, schedule=_DEFAULT_SCHEDULE, tol=1e-3, instance=
     a = _acquire(config, instance)
     k = limit_operator(modulus_resolution(dunford(a)))
     report = convergence_study(a, schedule, k.matrix)
-    record.add_check("final_error", report.errors[-1], float(tol))
+    record.add_check("final_error", report.errors[-1], tol)
     record.results["schedule"] = schedule
     record.results["errors"] = list(report.errors)
 
@@ -139,21 +139,17 @@ def _cmd_yamamoto(record, config, n=4096, tol=1e-3, instance=None):
     a = _acquire(config, instance)
     vals = yamamoto_limits(a, n)
     expected = _sorted_moduli(a)
-    record.add_check("max_deviation", float(np.max(np.abs(vals - expected))), float(tol))
+    record.add_check("max_deviation", float(np.max(np.abs(vals - expected))), tol)
     record.results["limits"] = vals
     record.results["expected"] = expected
 
 
 def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instance=None):
     a = _acquire(config, instance)
-    tol = float(tol)
     dec = dunford(a)
     m = a.shape[0]
     if vectors is not None:
-        xs = np.array(
-            [[complex(re, im) for re, im in vec] for vec in vectors],
-            dtype=np.complex128,
-        ).T
+        xs = np.array([complex_pairs(vec, f"vectors[{j}] entry") for j, vec in enumerate(vectors)]).T
     else:
         xs = np.eye(m, dtype=np.complex128)
     exact = np.array([vector_exponent_exact(dec, xs[:, j]) for j in range(xs.shape[1])])
@@ -167,22 +163,20 @@ def _cmd_shift(
     record, config, kind="harmonic", values=None, ratio=0.5, level=None,
     start_max=64, length_max=256, detector_tol=1e-2, m=256, n=32, tol=1e-10,
 ):
-    level = {"constant": 1.0, "blocks": 2.0}.get(kind, 0.0) if level is None else level
-    values, ratio, level = tuple(values or ()), float(ratio), float(level)
-    w = shifts.WeightSequence(kind, values=values, ratio=ratio, level=level)
+    level = real_number({"constant": 1.0, "blocks": 2.0}.get(kind, 0.0) if level is None else level, "level")
+    w = shifts.WeightSequence(kind, values=tuple(values or ()), ratio=ratio, level=level)
     table = shifts.geometric_mean_table(w, start_max, length_max)
-    det = shifts.uniform_limit_detector(table, tol=float(detector_tol))
+    det = shifts.uniform_limit_detector(table, tol=detector_tol)
     record.results["converged"] = det.converged
     record.results["alpha"] = det.alpha
     record.results["witness"] = det.witness
     record.results["backward_converges"] = shifts.backward_classifier(w)
-    record.add_check("crosscheck_deviation", shifts.shift_power_crosscheck(w, m, n), float(tol))
+    record.add_check("crosscheck_deviation", shifts.shift_power_crosscheck(w, m, n), tol)
     record.results["crosscheck"] = {"m": m, "n": n, "interior_cells": m - n}
 
 
 def _cmd_semigroup(record, config, t=200.0, tol=1e-2, instance=None):
     a = _acquire(config, instance)
-    t, tol = float(t), float(tol)
     dec = dunford(a)
     res = halfplane_resolution(dec)
     k = semigroup_limit(res)
@@ -215,9 +209,7 @@ def _sweep_one(seed, spec, n):
 
 
 def _cmd_sweep(record, config, count=50, n=4096, tol=1e-3, instance=None):
-    count, tol = positive_int(count, "count"), float(tol)
-    spec = InstanceSpec(**(instance or {}))
-    rows = [_sweep_one(config.seed + i, spec, n) for i in range(count)]
+    rows = [_sweep_one(config.seed + i, instance, n) for i in range(count)]
     max_k = max(r["power_error"] for r in rows)
     max_y = max(r["yamamoto_error"] for r in rows)
     record.add_check("max_power_error", max_k, tol)
@@ -243,6 +235,8 @@ _DISPATCH = {
 
 
 _signature = functools.cache(inspect.signature)
+# Each --config value is checked by the type of its parameter's default.
+_CHECKS = {int: positive_int, float: real_number}
 
 
 def run_command(config: RunConfig) -> RunRecord:
@@ -255,10 +249,11 @@ def run_command(config: RunConfig) -> RunRecord:
         bound = _signature(cmd).bind(record, config, **config.params)
     except TypeError as exc:
         raise UsageError(f"{config.command}: {exc}") from None
-    try:
-        InstanceSpec(**(bound.arguments.get("instance") or {}))
-    except TypeError as exc:
-        raise UsageError(f"{config.command}: instance: {exc}") from None
+    if "instance" in bound.signature.parameters:
+        try:
+            bound.arguments["instance"] = InstanceSpec(**(config.params.get("instance") or {}))
+        except TypeError as exc:
+            raise UsageError(f"{config.command}: instance: {exc}") from None
     sources = _SOURCES.get(config.command, ("input", "seed"))
     given = {"input": config.input_path, "seed": config.seed}
     for name, value in given.items():
@@ -268,11 +263,15 @@ def run_command(config: RunConfig) -> RunRecord:
         raise UsageError(f"{config.command} needs " + " or ".join(repr(f"--{s}") for s in sources))
     if config.input_path is not None and config.seed is not None:
         raise UsageError(f"{config.command} reads '--input' or '--seed', not both")
-    if config.input_path is not None and "instance" in bound.arguments:
+    if config.input_path is not None and "instance" in config.params:
         raise UsageError(f"{config.command} reads no 'instance' with '--input'")
     if config.input_path is not None and not os.path.isfile(config.input_path):
         raise UsageError(f"--input {config.input_path!r} is not a file")
     try:
+        for name, value in bound.arguments.items():
+            check = _CHECKS.get(type(bound.signature.parameters[name].default))
+            if check is not None:
+                bound.arguments[name] = check(value, name)
         cmd(*bound.args, **bound.kwargs)
     except Exception as exc:  # captured, never propagated: the record is the report
         record.add_error(config.command, exc)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the positive-integer check that raises InvalidInput."""
+"""Exception types shared across the toolkit, and the number checks that raise InvalidInput."""
 
 import numbers
 
@@ -41,3 +41,10 @@ def positive_int(value, name: str = "n") -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 1 or value % 1:
         raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def real_number(value, name: str) -> float:
+    """``value`` as a float; InvalidInput unless it is a number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    return float(value)

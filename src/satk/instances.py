@@ -16,32 +16,29 @@ import numpy as np
 
 from . import linalg
 from .decomp import DunfordDecomposition, EigenCluster, SpectralIdempotent
-from .errors import InvalidInput
+from .errors import InvalidInput, real_number
 from .mmio import MAX_DIM
+
+_MAX_MODULUS = 1.0
+_MIN_RATIO = 1.3  # consecutive distinct moduli differ by at least this
+_NILPOTENT_DENSITY = 0.6  # chance a multiplicity-2 block gets a nilpotent entry
+_NILPOTENT_SCALE = 0.002
+_PERTURBATION = 0.08  # S = I + _PERTURBATION * R
+_COND_CAP = 100.0
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
     dim: int = 4
-    max_modulus: float = 1.0
-    min_ratio: float = 1.3  # consecutive distinct moduli differ by at least this
     repeat_prob: float = 0.35  # chance a level carries multiplicity 2
     shared_modulus_prob: float = 0.2  # chance two eigenvalues share one modulus
-    nilpotent_density: float = 0.6  # chance a multiplicity-2 block gets a nilpotent entry
-    nilpotent_scale: float = 0.002
-    perturbation: float = 0.08  # S = I + perturbation * R
-    cond_cap: float = 100.0
     min_real_gap: float = 0.0  # enforce pairwise separation of eigenvalue real parts
 
     def validate(self):
         if type(self.dim) is not int or not 1 <= self.dim <= MAX_DIM:
             raise InvalidInput(f"dim must be an integer in [1, {MAX_DIM}], got {self.dim!r}")
-        if self.min_ratio < 1.25:
-            raise InvalidInput("min_ratio must be at least 1.25")
-        if self.max_modulus <= 0:
-            raise InvalidInput("max_modulus must be positive")
-        if self.cond_cap < 1:
-            raise InvalidInput("cond_cap must be at least 1")
+        for name in ("repeat_prob", "shared_modulus_prob", "min_real_gap"):
+            real_number(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ def _multiplicities(rng, dim, repeat_prob):
 def _level_eigenvalues(rng, spec, levels):
     """Distinct eigenvalues, one per level, moduli descending on a gapped grid."""
     eigs = []
-    modulus = spec.max_modulus
+    modulus = _MAX_MODULUS
     i = 0
     while i < len(levels):
         share = (
@@ -82,7 +79,7 @@ def _level_eigenvalues(rng, spec, levels):
             # second eigenvalue on the same disc, phase well separated
             eigs.append(modulus * np.exp(1j * (phase + rng.uniform(0.7, 2 * np.pi - 0.7))))
             i += 1
-        modulus /= spec.min_ratio * rng.uniform(1.0, 1.4)
+        modulus /= _MIN_RATIO * rng.uniform(1.0, 1.4)
         i += 1
     return eigs
 
@@ -112,19 +109,19 @@ def generate_instance(seed: int, spec: InstanceSpec | None = None) -> Instance:
     for mult, lam in zip(mults, eigs):
         blocks.append((pos, mult, lam))
         diag.extend([lam] * mult)
-        if mult == 2 and rng.random() < spec.nilpotent_density:
-            nilpotent[pos, pos + 1] = spec.nilpotent_scale * np.exp(
+        if mult == 2 and rng.random() < _NILPOTENT_DENSITY:
+            nilpotent[pos, pos + 1] = _NILPOTENT_SCALE * np.exp(
                 1j * rng.uniform(0.0, 2 * np.pi)
             )
         pos += mult
     lam_mat = np.diag(np.array(diag, dtype=np.complex128))
 
-    delta = spec.perturbation
+    delta = _PERTURBATION
     while True:
         r = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         s = np.eye(m, dtype=np.complex128) + delta * r / np.sqrt(m)
         sv = linalg.svd(s, compute_uv=False)
-        if sv[0] / sv[-1] <= spec.cond_cap:  # np.linalg.cond(s)
+        if sv[0] / sv[-1] <= _COND_CAP:  # np.linalg.cond(s)
             break
         delta *= 0.5
 

@@ -138,18 +138,14 @@ def norm2(a) -> float:
     return float(svd(a, compute_uv=False)[0])
 
 
-def default_rank_tol(m: int) -> float:
-    """Relative numerical-rank threshold: m * eps, applied to the largest singular value."""
-    return m * np.finfo(float).eps
-
-
 def range_projection(t, rank_tol: float | None = None) -> np.ndarray:
-    """Orthogonal projection onto the range of T (left singular vectors above the rank cut)."""
+    """Orthogonal projection onto the range of T (left singular vectors above
+    the rank cut ``rank_tol * s_max``, by default m * eps * s_max)."""
     t = as_matrix(t)
     u, s, _ = svd(t)
     if s[0] == 0.0:
         return np.zeros_like(t)
-    rtol = rank_tol if rank_tol is not None else default_rank_tol(t.shape[0])
+    rtol = rank_tol if rank_tol is not None else t.shape[0] * np.finfo(float).eps
     r = int(np.count_nonzero(s > rtol * s[0]))
     ur = u[:, :r]
     return ur @ ur.conj().T

@@ -112,19 +112,24 @@ def _parse_json_obj(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ParseError(f"'entries' must hold {dim * dim} [re, im] pairs")
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for idx, pair in enumerate(entries):
+    return complex_pairs(entries).reshape(dim, dim)
+
+
+def complex_pairs(pairs, what: str = "entry") -> np.ndarray:
+    """[re, im] pairs of JSON numbers, not bools, as complex128; an error names ``what`` and its index."""
+    out = np.empty(len(pairs), dtype=np.complex128)
+    for idx, pair in enumerate(pairs):
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
             or not all(type(v) in (int, float) for v in pair)
         ):
-            raise ParseError(f"entry {idx} is not a [re, im] pair")
+            raise ParseError(f"{what} {idx} is not a [re, im] pair")
         try:
-            flat[idx] = complex(pair[0], pair[1])
+            out[idx] = complex(pair[0], pair[1])
         except OverflowError:  # an integer past float range
-            raise InvalidInput("matrix has non-finite entries") from None
-    return flat.reshape(dim, dim)
+            raise InvalidInput(f"{what} {idx} is past float range") from None
+    return out
 
 
 def read_source(source) -> str:

@@ -117,7 +117,7 @@ def semigroup_limit(res: LevelResolution) -> LimitOperator:
 
 
 def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
-    """Smallest level whose F_j contains x; None for x = 0."""
+    """Smallest level whose F_j contains x; None for x = 0; refused past float range."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     m = dec.matrix.shape[0]
     if x.shape[0] != m:
@@ -129,8 +129,10 @@ def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
     res = _level_resolution(dec, key)
     for level, f in zip(res.levels, res.projections):
         if np.linalg.norm(f @ x - x) <= MEMBERSHIP_TOL * nx:
-            return level
-    return res.levels[-1]
+            break
+    if not np.isfinite(level):
+        raise InvalidInput(f"the level {level} of the vector leaves float range")
+    return level
 
 
 def vector_exponent_exact(dec: DunfordDecomposition, x) -> float:

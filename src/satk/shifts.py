@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, positive_int
+from .errors import InvalidInput, positive_int, real_number
 
 # The detector's tail block is the last 1/_TAIL_FRACTION of the window lengths.
 _TAIL_FRACTION = 4
@@ -33,6 +33,8 @@ class WeightSequence:
         if self.kind == "explicit":
             if not self.values:
                 raise InvalidInput("explicit weights need at least one value")
+            for i, v in enumerate(self.values):
+                real_number(v, f"values[{i}]")
         elif self.kind == "geometric":
             if not 0.0 < self.ratio < 1.0:
                 raise InvalidInput("geometric ratio must lie in (0, 1)")

@@ -47,9 +47,9 @@ def psd_power(h, p: float, rank_tol: float | None = None) -> np.ndarray:
         raise InvalidInput(f"exponent must be positive, got {p}")
     h = as_hermitian(h)
     w, v = np.linalg.eigh(h)
-    cut = (rank_tol if rank_tol is not None else linalg.default_rank_tol(h.shape[0])) * max(
-        w[-1], 0.0
-    )
+    if rank_tol is None:  # the default cut of linalg.range_projection
+        rank_tol = h.shape[0] * np.finfo(float).eps
+    cut = rank_tol * max(w[-1], 0.0)
     w = np.where(w > cut, w, 0.0)
     pw = np.zeros_like(w)
     np.power(w, p, out=pw, where=w > 0)

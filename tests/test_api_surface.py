@@ -9,6 +9,9 @@ Every matrix memo is a ``linalg.matrix_memo``: the tools of the memo policy
 appear nowhere else in ``src/satk``.
 
 Every BLAS and LAPACK call in ``src/satk`` passes its arguments by position.
+
+No CLI command converts one of its own parameters: ``cli.run_command``
+checks each ``--config`` value once.
 """
 
 import ast
@@ -125,4 +128,25 @@ def test_lapack_calls_are_positional():
             and node.keywords
             and (routine(node.func) or isinstance(node.func, ast.Name) and node.func.id in bound)
         ]
+    assert found == []
+
+
+def test_commands_convert_no_parameter():
+    # run_command checks each --config value against its parameter's default;
+    # a float(), int() or positive_int() in a command body would be a second,
+    # coercing check of the same value
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        f"{func.name}:{node.lineno}"
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("float", "int", "positive_int")
+        and any(
+            isinstance(arg, ast.Name) and arg.id in {a.arg for a in func.args.args}
+            for arg in node.args
+        )
+    ]
     assert found == []

@@ -17,7 +17,7 @@ def test_deterministic_per_seed():
 
 def test_modulus_ratio_guarantee():
     for i in range(50):
-        inst = generate_instance(i, InstanceSpec(dim=6, min_ratio=1.25))
+        inst = generate_instance(i, InstanceSpec(dim=6))
         mods = sorted({round(abs(z), 12) for z in inst.eigenvalues})
         for lo, hi in zip(mods, mods[1:]):
             assert hi / lo >= 1.25
@@ -25,13 +25,14 @@ def test_modulus_ratio_guarantee():
 
 def test_condition_cap():
     for i in range(30):
-        inst = generate_instance(200 + i, InstanceSpec(dim=8, cond_cap=100.0))
+        inst = generate_instance(200 + i, InstanceSpec(dim=8))
         assert np.linalg.cond(inst.similarity) <= 100.0
 
 
-def test_zero_nilpotent_density_gives_diagonalizable():
+def test_no_repeated_level_gives_diagonalizable():
+    # a nilpotent entry sits only in a multiplicity-2 block
     for i in range(20):
-        inst = generate_instance(300 + i, InstanceSpec(dim=5, nilpotent_density=0.0))
+        inst = generate_instance(300 + i, InstanceSpec(dim=5, repeat_prob=0.0))
         assert linalg.norm2(inst.decomposition.nilpotent_part) < 1e-12
 
 
@@ -73,7 +74,12 @@ def test_spec_refuses_dim_that_is_no_integer_in_range(dim):
 def test_spec_validation():
     with pytest.raises(InvalidInput):
         generate_instance(0, InstanceSpec(dim=0))
-    with pytest.raises(InvalidInput):
-        generate_instance(0, InstanceSpec(min_ratio=1.1))
-    with pytest.raises(InvalidInput):
-        generate_instance(0, InstanceSpec(max_modulus=0.0))
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "null"])
+@pytest.mark.parametrize("field", ["repeat_prob", "shared_modulus_prob", "min_real_gap"])
+def test_spec_refuses_float_field_that_is_no_number(field, value):
+    # a repeat_prob of true once ran as a probability of 1, a min_real_gap of
+    # true as a gap of 1, and a repeat_prob of "0.5" raised a bare TypeError
+    with pytest.raises(InvalidInput, match=f"^{field} must be a real number"):
+        generate_instance(0, InstanceSpec(**{field: value}))

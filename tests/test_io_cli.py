@@ -476,11 +476,12 @@ def test_cli_shift_refuses_sizes_that_are_no_positive_integer(tmp_path, config, 
         for command in ("yamamoto", "vector-exponent")
         for n in (4096.5, True, "64")
     ]
-    + [("iterate", {"schedule": [16.5, 64.2]}, "n"), ("sweep", {"count": 2.7}, "count")],
+    + [("iterate", {"schedule": [16.5, 64.2]}, "n"), ("sweep", {"count": 2.7}, "count")]
+    + [("sweep", {"count": "3"}, "count"), ("sweep", {"n": True}, "n")],
     ids=[
         f"{command}-{kind}" for command in ("yamamoto", "vector-exponent") for kind in ("float", "bool", "str")
     ]
-    + ["iterate-floats", "sweep-count"],
+    + ["iterate-floats", "sweep-count", "sweep-count-str", "sweep-n-bool"],
 )
 def test_cli_refuses_sizes_that_are_no_positive_integer(tmp_path, command, config, name):
     # int() once ran 4096.5 as 4096, True as 1 and "64" as 64, and exited 0
@@ -489,6 +490,65 @@ def test_cli_refuses_sizes_that_are_no_positive_integer(tmp_path, command, confi
     (error,) = json.loads(out.read_text())["errors"]
     assert error["type"] == "InvalidInput"
     assert error["message"].startswith(f"{name} must be a positive integer")
+
+
+# (command, name) of every --config parameter whose value must be a real
+# number: each float default, and shift's level
+REAL_PARAMETERS = [
+    (command, name)
+    for command, cmd in cli._DISPATCH.items()
+    for name, p in cli._signature(cmd).parameters.items()
+    if type(p.default) is float
+] + [("shift", "level")]
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("command, name", REAL_PARAMETERS, ids=[f"{c}-{n}" for c, n in REAL_PARAMETERS])
+def test_cli_refuses_real_parameters_that_are_no_number(tmp_path, command, name, value):
+    # float() once read "0.5" as 0.5, and a tolerance of true as 1.0, and exited 0
+    out = tmp_path / "rec.json"
+    source = [] if command == "shift" else ["--seed", "1"]
+    config = {"kind": "constant", name: value} if name == "level" else {name: value}
+    assert main([command, *source, "--config", json.dumps(config), "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert error["type"] == "InvalidInput"
+    assert error["message"] == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("bad", ["1", True], ids=["str", "bool"])
+def test_cli_shift_refuses_explicit_weights_that_are_no_number(tmp_path, bad):
+    # np.array(values, dtype=float) once read "1" and true as weights
+    out = tmp_path / "rec.json"
+    config = json.dumps({"kind": "explicit", "values": [1.0, bad] + [0.5] * 400})
+    assert main(["shift", "--config", config, "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert error["type"] == "InvalidInput"
+    assert error["message"] == f"values[1] must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [[True, 0], [1, "0"], [1], 1.0], ids=["bool", "str", "short", "number"])
+def test_cli_vector_exponent_refuses_vectors_that_are_no_pairs(tmp_path, bad):
+    # complex(re, im) once read [true, 0] as 1
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(FIXTURE_JSON)
+    config = json.dumps({"n": 16, "vectors": [[[1, 0], [0, 0]], [[0, 0], bad]]})
+    assert main(["vector-exponent", "--input", str(src), "--config", config, "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert (error["type"], error["message"]) == ("ParseError", "vectors[1] entry 1 is not a [re, im] pair")
+
+
+@pytest.mark.parametrize(
+    "command, level", [("vector-exponent", 1e308), ("semigroup", -1e308)], ids=["modulus", "real-part"]
+)
+def test_cli_refuses_vector_level_past_float_range(tmp_path, command, level):
+    # the mean of the one cluster overflows: vector-exponent once recorded
+    # exact ["inf", "inf"] rather than a refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, rec = _cli_run(tmp_path, np.diag([level, level]), command)
+    assert code == 1
+    assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", command)]
+    inf = math.copysign(math.inf, level)
+    assert rec["errors"][0]["message"] == f"the level {inf} of the vector leaves float range"
 
 
 def test_cli_vector_exponent_of_a_subnormal_level(tmp_path, capsys):
@@ -613,7 +673,7 @@ def test_one_version_string():
         ('{"tol": Infinity}', "Infinity"),
         ('{"tol": -Infinity}', "-Infinity"),
         ('{"tol": 1e400}', "1e400"),
-        ('{"instance": {"perturbation": -1e400}}', "-1e400"),
+        ('{"instance": {"min_real_gap": -1e400}}', "-1e400"),
     ],
 )
 def test_cli_non_finite_config_is_usage_error(tmp_path, capsys, config, number):
