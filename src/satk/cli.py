@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg, shifts
 from .decomp import dunford
-from .errors import UsageError, positive_int, real_number
+from .errors import InvalidInput, UsageError, positive_int, real_number
 from .instances import InstanceSpec, generate_instance
 from .mmio import complex_pairs, parse_matrix, read_source
 from .powerit import (
@@ -97,21 +97,18 @@ def _sorted_moduli(a):
 def _cmd_decompose(record, config, tol=1e-8, instance=None):
     a = _acquire(config, instance)
     dec = dunford(a)
+    d, n = dec.scalar_part, dec.nilpotent_part
     m = a.shape[0]
     scale = max(1.0, linalg.norm2(a))
     tol *= scale
-    record.add_check("reconstruction", linalg.norm2(dec.scalar_part + dec.nilpotent_part - a), tol)
+    record.add_check("reconstruction", linalg.norm2(d + n - a), tol)
     record.add_check(
         "idempotency",
         max(linalg.norm2(p.matrix @ p.matrix - p.matrix) for p in dec.idempotents),
         tol,
     )
-    record.add_check(
-        "commutation",
-        linalg.norm2(dec.scalar_part @ dec.nilpotent_part - dec.nilpotent_part @ dec.scalar_part),
-        tol,
-    )
-    record.add_check("nilpotency", linalg.norm2(np.linalg.matrix_power(dec.nilpotent_part, m)), tol)
+    record.add_check("commutation", linalg.norm2(d @ n - n @ d), tol)
+    record.add_check("nilpotency", linalg.norm2(np.linalg.matrix_power(n, m)), tol)
     record.results["eigenvalues"] = [p.cluster.representative for p in dec.idempotents]
     record.results["multiplicities"] = [p.cluster.multiplicity for p in dec.idempotents]
     record.results["condition_bound"] = dec.condition_bound
@@ -149,6 +146,12 @@ def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instanc
     dec = dunford(a)
     m = a.shape[0]
     if vectors is not None:
+        if not (
+            isinstance(vectors, list)
+            and vectors
+            and all(isinstance(vec, list) and len(vec) == len(vectors[0]) for vec in vectors)
+        ):
+            raise InvalidInput("vectors must be a nonempty list of equal-length lists of [re, im] pairs")
         xs = np.array([complex_pairs(vec, f"vectors[{j}] entry") for j, vec in enumerate(vectors)]).T
     else:
         xs = np.eye(m, dtype=np.complex128)
@@ -163,7 +166,6 @@ def _cmd_shift(
     record, config, kind="harmonic", values=None, ratio=0.5, level=None,
     start_max=64, length_max=256, detector_tol=1e-2, m=256, n=32, tol=1e-10,
 ):
-    level = real_number({"constant": 1.0, "blocks": 2.0}.get(kind, 0.0) if level is None else level, "level")
     w = shifts.WeightSequence(kind, values=tuple(values or ()), ratio=ratio, level=level)
     table = shifts.geometric_mean_table(w, start_max, length_max)
     det = shifts.uniform_limit_detector(table, tol=detector_tol)

@@ -30,7 +30,10 @@ class EigenCluster:
 
     representative: complex
     members: tuple
-    multiplicity: int
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,28 @@ class SpectralIdempotent:
 
 @dataclass(frozen=True)
 class DunfordDecomposition:
-    """A = D + N with D scalar (diagonalizable), N nilpotent, DN = ND."""
+    """A = D + N with D scalar (diagonalizable), N nilpotent, DN = ND, given
+    by A and its cluster idempotents: D = sum of representative * P, in
+    idempotent order, and N = A - D.  Each read of a part forms a fresh array."""
 
     matrix: np.ndarray
-    scalar_part: np.ndarray
-    nilpotent_part: np.ndarray
     idempotents: tuple
-    condition_bound: float
+
+    @property
+    def scalar_part(self) -> np.ndarray:
+        d = np.zeros_like(self.matrix)
+        for p in self.idempotents:
+            d += p.cluster.representative * p.matrix
+        return d
+
+    @property
+    def nilpotent_part(self) -> np.ndarray:
+        return self.matrix - self.scalar_part
+
+    @property
+    def condition_bound(self) -> float:
+        """max ||P||_2 over the idempotents."""
+        return max(linalg.norm2(p.matrix) for p in self.idempotents)
 
 
 @linalg.matrix_memo(maxsize=8)
@@ -96,7 +114,7 @@ def eigen_clusters(a) -> list:
     t, _, scale = schur_form(a)
     eigvals = [complex(z) for z in t.diagonal()]
     groups = [[eigvals[i] for i in g] for g in single_linkage(eigvals, CLUSTER_TOL * scale)]
-    clusters = [EigenCluster(complex(np.mean(vals)), tuple(vals), len(vals)) for vals in groups]
+    clusters = [EigenCluster(complex(np.mean(vals)), tuple(vals)) for vals in groups]
     clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
     return clusters
 
@@ -123,18 +141,6 @@ def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
 
 @linalg.matrix_memo(maxsize=8)
 def dunford(a) -> DunfordDecomposition:
-    """Dunford (Jordan-Chevalley) decomposition of A from its cluster
+    """Dunford (Jordan-Chevalley) decomposition of A: its cluster
     idempotents, computed once per matrix.  It holds a copy of A, never A."""
-    idempotents = tuple(spectral_idempotent(a, c) for c in eigen_clusters(a))
-    d = np.zeros_like(a)
-    for p in idempotents:
-        d += p.cluster.representative * p.matrix
-    n = a - d
-    bound = max(linalg.norm2(p.matrix) for p in idempotents)
-    return DunfordDecomposition(
-        matrix=a,
-        scalar_part=d,
-        nilpotent_part=n,
-        idempotents=idempotents,
-        condition_bound=float(bound),
-    )
+    return DunfordDecomposition(a, tuple(spectral_idempotent(a, c) for c in eigen_clusters(a)))

@@ -43,11 +43,17 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    matrix: np.ndarray
     decomposition: DunfordDecomposition
-    eigenvalues: tuple
     generalized_eigenvectors: np.ndarray  # columns, paired with `eigenvalues`
-    similarity: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.decomposition.matrix
+
+    @property
+    def eigenvalues(self) -> tuple:
+        """The cluster members, in block order."""
+        return tuple(z for p in self.decomposition.idempotents for z in p.cluster.members)
 
 
 def _multiplicities(rng, dim, repeat_prob):
@@ -126,35 +132,12 @@ def generate_instance(seed: int, spec: InstanceSpec | None = None) -> Instance:
         delta *= 0.5
 
     s_inv = np.linalg.inv(s)
-    scalar = s_inv @ lam_mat @ s
     a = s_inv @ (lam_mat + nilpotent) @ s
 
     idempotents = []
     for start, mult, lam in blocks:
         e = np.zeros((m, m), dtype=np.complex128)
         e[start : start + mult, start : start + mult] = np.eye(mult)
-        idempotents.append(
-            SpectralIdempotent(
-                matrix=s_inv @ e @ s,
-                cluster=EigenCluster(
-                    representative=complex(lam),
-                    members=(complex(lam),) * mult,
-                    multiplicity=mult,
-                ),
-            )
-        )
-    bound = max(linalg.norm2(p.matrix) for p in idempotents)
-    dec = DunfordDecomposition(
-        matrix=a,
-        scalar_part=scalar,
-        nilpotent_part=a - scalar,
-        idempotents=tuple(idempotents),
-        condition_bound=float(bound),
-    )
-    return Instance(
-        matrix=a,
-        decomposition=dec,
-        eigenvalues=tuple(complex(z) for z in diag),
-        generalized_eigenvectors=s_inv,
-        similarity=s,
-    )
+        lam = complex(lam)
+        idempotents.append(SpectralIdempotent(s_inv @ e @ s, EigenCluster(lam, (lam,) * mult)))
+    return Instance(DunfordDecomposition(a, tuple(idempotents)), s_inv)

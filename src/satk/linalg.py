@@ -138,19 +138,18 @@ def norm2(a) -> float:
     return float(svd(a, compute_uv=False)[0])
 
 
-def range_projection(t, rank_tol: float | None = None) -> np.ndarray:
+def range_projection(t) -> np.ndarray:
     """Orthogonal projection onto the range of T (left singular vectors above
-    the rank cut ``rank_tol * s_max``, by default m * eps * s_max)."""
+    the rank cut m * eps * s_max)."""
     t = as_matrix(t)
     u, s, _ = svd(t)
     if s[0] == 0.0:
         return np.zeros_like(t)
-    rtol = rank_tol if rank_tol is not None else t.shape[0] * np.finfo(float).eps
-    r = int(np.count_nonzero(s > rtol * s[0]))
+    r = int(np.count_nonzero(s > t.shape[0] * np.finfo(float).eps * s[0]))
     ur = u[:, :r]
     return ur @ ur.conj().T
 
 
-def matrix_rank(t, rank_tol: float | None = None) -> int:
+def matrix_rank(t) -> int:
     """Numerical rank: the trace of :func:`range_projection`, under its cut."""
-    return int(round(np.trace(range_projection(t, rank_tol)).real))
+    return int(round(np.trace(range_projection(t)).real))

@@ -27,9 +27,11 @@ class WeightSequence:
     kind: str
     values: tuple = ()  # explicit only
     ratio: float = 0.0  # geometric q
-    level: float = 0.0  # constant c, or blocks high value c (low value 1/c)
+    level: float | None = None  # constant c (default 1), or blocks high value c (default 2; low value 1/c)
 
     def __post_init__(self):
+        level = (2.0 if self.kind == "blocks" else 1.0) if self.level is None else self.level
+        object.__setattr__(self, "level", real_number(level, "level"))
         if self.kind == "explicit":
             if not self.values:
                 raise InvalidInput("explicit weights need at least one value")

@@ -56,6 +56,15 @@ def psd_power(h, p: float, rank_tol: float | None = None) -> np.ndarray:
     return (v * pw) @ v.conj().T
 
 
+def range_projection_above(t, rank_tol: float) -> np.ndarray:
+    """Orthogonal projection onto the left singular vectors of T whose
+    singular values exceed ``rank_tol * s_max``: ``linalg.range_projection``
+    with a cut of the caller's choosing."""
+    u, s, _ = np.linalg.svd(linalg.as_matrix(t))
+    ur = u[:, : int(np.count_nonzero(s > rank_tol * s[0]))]
+    return ur @ ur.conj().T
+
+
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     """Whether A <= B in the Loewner order, up to ``tol`` on the smallest eigenvalue."""
     a = as_hermitian(a)

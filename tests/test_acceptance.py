@@ -32,7 +32,14 @@ from conftest import (
     random_projection,
     random_psd,
 )
-from oracles import loewner_leq, psd_power, range_oracle, spectral_radius, weighted_psd_sum_root
+from oracles import (
+    loewner_leq,
+    psd_power,
+    range_oracle,
+    range_projection_above,
+    spectral_radius,
+    weighted_psd_sum_root,
+)
 
 N_MAIN = 4096
 TOL_MAIN = 1e-3
@@ -174,10 +181,8 @@ def test_range_complement_rearrangement():
     for rng, m in _draws(108):
         e = random_projection(rng, m, int(rng.integers(1, m)))
         s = random_invertible(rng, m)
-        lhs = linalg.range_projection(s.conj().T @ e @ s, rank_tol=1e-8)
-        rhs = np.eye(m) - linalg.range_projection(
-            np.linalg.solve(s, (np.eye(m) - e) @ s), rank_tol=1e-8
-        )
+        lhs = range_projection_above(s.conj().T @ e @ s, 1e-8)
+        rhs = np.eye(m) - range_projection_above(np.linalg.solve(s, (np.eye(m) - e) @ s), 1e-8)
         assert linalg.norm2(lhs - rhs) < INEQ_TOL
 
 

@@ -5,6 +5,11 @@ somewhere in ``src/satk`` or ``bench/`` outside its own definition and
 ``__init__``.  A reference from inside another export that is itself unused
 does not count, so a chain of test-only helpers is caught whole.
 
+Every field of a dataclass in ``src/satk`` is read as an attribute somewhere
+in ``src/satk`` or ``bench/``, a read in its class's ``__post_init__`` (which
+only checks the value) not counting: a field that only tests read is a value
+each constructor must supply for nothing.
+
 Every matrix memo is a ``linalg.matrix_memo``: the tools of the memo policy
 appear nowhere else in ``src/satk``.
 
@@ -77,6 +82,46 @@ def unused_exports():
 
 def test_every_export_is_used_outside_tests():
     assert unused_exports() == []
+
+
+def _is_dataclass(node):
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def unread_fields():
+    """``Class.field`` for each dataclass field of src/satk that no code of
+    src/satk or bench/ outside the class's __post_init__ reads as an attribute."""
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    trees += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    classes = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+    ]
+    reads = {}  # attribute name -> the nodes that read it
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    unread = []
+    for cls in classes:
+        checks = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+        inside = {id(node) for f in checks for node in ast.walk(f)}
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                name = stmt.target.id
+                if all(id(node) in inside for node in reads.get(name, [])):
+                    unread.append(f"{cls.name}.{name}")
+    return unread
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    assert unread_fields() == []
 
 
 def test_memo_policy_lives_in_linalg():

@@ -393,8 +393,9 @@ def test_cli_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("config", [{"kind": "triangular"}, {"kind": "explicit"}])
+@pytest.mark.parametrize("config", [{"kind": "triangular"}, {"kind": "explicit"}, {"kind": ["geometric"]}])
 def test_cli_bad_weight_kind_is_recorded(tmp_path, config):
+    # a list kind once reached a dict lookup in the CLI and recorded a TypeError
     out = tmp_path / "rec.json"
     assert main(["shift", "--config", json.dumps(config), "--out", str(out)]) == 1
     rec = json.loads(out.read_text())
@@ -535,6 +536,20 @@ def test_cli_vector_exponent_refuses_vectors_that_are_no_pairs(tmp_path, bad):
     assert main(["vector-exponent", "--input", str(src), "--config", config, "--out", str(out)]) == 1
     (error,) = json.loads(out.read_text())["errors"]
     assert (error["type"], error["message"]) == ("ParseError", "vectors[1] entry 1 is not a [re, im] pair")
+
+
+@pytest.mark.parametrize(
+    "vectors", [[], [[[1, 0], [0, 0]], [[1, 0]]], 5, [5]], ids=["empty", "ragged", "number", "number-vector"]
+)
+def test_cli_vector_exponent_refuses_vectors_that_are_no_list_of_vectors(tmp_path, vectors):
+    # these once recorded numpy's IndexError, ValueError or a TypeError
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(FIXTURE_JSON)
+    config = json.dumps({"n": 16, "vectors": vectors})
+    assert main(["vector-exponent", "--input", str(src), "--config", config, "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert error["type"] == "InvalidInput"
+    assert error["message"].startswith("vectors must be a nonempty list of equal-length")
 
 
 @pytest.mark.parametrize(
