@@ -4,10 +4,10 @@
 
 Two record sets, both written with CHECKOUT's ``src`` and ``bench``:
 
-- ``fresh``: 175 records, one new process each (``python -m satk.cli``):
+- ``fresh``: 191 records, one new process each (``python -m satk.cli``):
   ``decompose``, ``limit``, ``vector-exponent``, ``semigroup``, ``yamamoto``
   (default ``n`` and 512) and ``iterate`` (default schedule and
-  ``[8, 16, 32, 64, 100, 200]``) on ``--seed 0``-``9`` and 11 JSON files,
+  ``[8, 16, 32, 64, 100, 200]``) on ``--seed 0``-``9`` and 13 JSON files,
   six ``shift`` runs and ``sweep --seed 42``;
 - ``in_process``: 684 records from one process, ``cli.main`` running
   ``decompose``, ``limit``, ``vector-exponent`` and ``semigroup`` in turn on
@@ -59,6 +59,9 @@ def input_files(workdir: Path) -> list:
             1e200 * half, 1e-40 * half, 1e4 * half]
     rng = np.random.default_rng(7)
     mats += [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in (3, 4, 5)]
+    # W1: distinct moduli merged under a large norm, still a wrong answer with
+    # exit 0; W2: close moduli of a small matrix, once merged the same way
+    mats += [[[1, 1e6], [0, 0.5]], 1e-4 * np.diag([1, 0.995])]
     paths = []
     for i, a in enumerate(mats):
         a = np.asarray(a, dtype=np.complex128)

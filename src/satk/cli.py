@@ -99,6 +99,8 @@ def _cmd_decompose(record, config, tol=1e-8, instance=None):
     dec = dunford(a)
     d, n = dec.scalar_part, dec.nilpotent_part
     m = a.shape[0]
+    # The one floored scale: the four residuals carry the powers 1, 0, 2 and m
+    # of ||A||, so no single power of ||A|| is homogeneous for all of them.
     scale = max(1.0, linalg.norm2(a))
     tol *= scale
     record.add_check("reconstruction", linalg.norm2(d + n - a), tol)
@@ -163,10 +165,10 @@ def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instanc
 
 
 def _cmd_shift(
-    record, config, kind="harmonic", values=None, ratio=0.5, level=None,
+    record, config, kind="harmonic", values=None, ratio=None, level=None,
     start_max=64, length_max=256, detector_tol=1e-2, m=256, n=32, tol=1e-10,
 ):
-    w = shifts.WeightSequence(kind, values=tuple(values or ()), ratio=ratio, level=level)
+    w = shifts.WeightSequence(kind, values=values, ratio=ratio, level=level)
     table = shifts.geometric_mean_table(w, start_max, length_max)
     det = shifts.uniform_limit_detector(table, tol=detector_tol)
     record.results["converged"] = det.converged

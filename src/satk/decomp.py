@@ -17,10 +17,10 @@ from .errors import IllConditioned, NumericalFailure
 from .linalg import lapack
 
 # A split of the Schur form is refused when sep(T11, T22) is below
-# SEP_FLOOR * max(1, ||A||): the error of its invariant subspace is about
-# eps * ||A|| / sep (Stewart 1973), which this keeps under 1e-6.
+# SEP_FLOOR * ||A||: the error of its invariant subspace is about
+# eps * ||A|| / sep (Stewart 1973), which this keeps under 1e-6 at every scale.
 SEP_FLOOR = 1e-10
-# Eigenvalues (and level keys) within CLUSTER_TOL * max(1, ||A||) are one spectral point.
+# Eigenvalues (and level keys) within CLUSTER_TOL * ||A|| are one spectral point.
 CLUSTER_TOL = 1e-6
 
 
@@ -72,11 +72,11 @@ class DunfordDecomposition:
 
 @linalg.matrix_memo(maxsize=8)
 def schur_form(a):
-    """(T, Z, max(1, ||A||)) with A = Z T Z*, by LAPACK zgees, computed once per matrix."""
+    """(T, Z, ||A||) with A = Z T Z*, by LAPACK zgees, computed once per matrix."""
     t, _, _, z, _, info = lapack.zgees(lambda w: 0, a)
     if info != 0:
         raise NumericalFailure(f"zgees failed with info={info}")
-    return t, z, max(1.0, linalg.norm2(a))
+    return t, z, linalg.norm2(a)
 
 
 def reorder_schur(t, z, select, scale: float):
@@ -109,7 +109,7 @@ def eigen_clusters(a) -> list:
     """Single-linkage clustering of the eigenvalues of A (the Schur diagonal).
 
     Clusters are returned sorted by (Re, Im) of their representatives and are
-    pairwise separated by more than ``CLUSTER_TOL * max(1, ||A||)``.
+    pairwise separated by more than ``CLUSTER_TOL * ||A||``.
     """
     t, _, scale = schur_form(a)
     eigvals = [complex(z) for z in t.diagonal()]
@@ -121,7 +121,7 @@ def eigen_clusters(a) -> list:
 
 def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
     """Idempotent onto the generalized eigenspace of ``cluster``, the Schur
-    diagonal entries within ``CLUSTER_TOL * max(1, ||A||)`` of its members: T
+    diagonal entries within ``CLUSTER_TOL * ||A||`` of its members: T
     reordered to [[T11, T12], [0, T22]] with them in T11, ztrsyl solves
     T11 Y - Y T22 = T12, and Z [[I, Y], [0, 0]] Z* commutes with A."""
     t, z, scale = schur_form(a)

@@ -116,16 +116,13 @@ def matrix_memo(maxsize: int):
 
 
 def svd(a, compute_uv: bool = True):
-    """``np.linalg.svd(a, compute_uv=compute_uv)``, bytes included, without numpy's gufunc layer.
+    """``np.linalg.svd`` of A as ``complex128``, bytes included, without numpy's gufunc layer.
 
-    Complex input goes straight to LAPACK's ``zgesdd`` with job ``'A'`` (or
-    ``'N'``), the routine and job numpy calls; U and V* come back C-ordered,
-    as numpy's do.  Other dtypes take numpy's own call.
+    A goes straight to LAPACK's ``zgesdd`` with job ``'A'`` (or ``'N'``), the
+    routine and job numpy calls on a complex matrix; U and V* come back
+    C-ordered, as numpy's do.
     """
-    a = np.asarray(a)
-    if a.dtype != np.complex128:
-        return np.linalg.svd(a, compute_uv=compute_uv)
-    u, s, vh, info = lapack.zgesdd(a, int(compute_uv))
+    u, s, vh, info = lapack.zgesdd(np.asarray(a, dtype=np.complex128), int(compute_uv))
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
     if not compute_uv:

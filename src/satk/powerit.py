@@ -38,6 +38,10 @@ _BLOCK_SINGULAR_FLOOR = 1e-290
 # The most steps a flag run (or a propagator in satk.semigroup) takes: a run
 # holds (n // k) x m complex diagonals, 512 MB at m = 8 and k = 1.
 _MAX_STEPS = 2**22
+# A matrix whose spectral norm is subnormal (below _TINY) is first multiplied
+# by 2**_LIFT, exactly, which puts every subnormal norm in the normal range.
+_TINY = np.finfo(float).tiny
+_LIFT = 64
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,9 @@ def _scaled_powers(a, ns) -> list:
 
     def normalized(x, log):
         s = linalg.norm2(x)
+        if 0.0 < s < _TINY:  # numpy divides by s through 1 / s, which overflows: lift x exactly first
+            x, log = x * 2.0**_LIFT, log - _LIFT * np.log(2.0)
+            s = linalg.norm2(x)
         if s == 0.0:
             return None
         return x / s, log + np.log(s)

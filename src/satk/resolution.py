@@ -153,7 +153,7 @@ def exp_growth_exponent_exact(dec: DunfordDecomposition, x) -> float:
 
 
 def check_resolution(a, res: LevelResolution) -> float:
-    """Invariant-subspace residual max_j ||(I - F_j) A F_j|| / max(1, ||A||).
+    """Invariant-subspace residual max_j ||(I - F_j) A F_j|| / ||A||, and 0 for A = 0.
 
     It is the backward error of the Schur split behind each F_j (Stewart
     1973): 0 when every range of F_j is A-invariant, as for a resolution of
@@ -162,4 +162,4 @@ def check_resolution(a, res: LevelResolution) -> float:
     a = linalg.as_matrix(a)
     eye = np.eye(a.shape[0])
     worst = max(linalg.norm2((eye - f) @ a @ f) for f in res.projections)
-    return worst / max(1.0, linalg.norm2(a))
+    return worst / linalg.norm2(a) if worst else 0.0

@@ -20,34 +20,52 @@ _BACKWARD_HORIZON = 4096
 _BACKWARD_TOL = 1e-6
 
 
+# The parameters each weight kind reads, with their defaults (None: required).
+_KIND_PARAMETERS = {
+    "explicit": {"values": None},
+    "harmonic": {},
+    "geometric": {"ratio": 0.5},
+    "constant": {"level": 1.0},
+    "blocks": {"level": 2.0},
+}
+
+
 @dataclass(frozen=True)
 class WeightSequence:
-    """Bounded weight sequence; ``kind`` is one of explicit/harmonic/geometric/constant/blocks."""
+    """Bounded weight sequence; ``kind`` is one of explicit/harmonic/geometric/constant/blocks.
+
+    A parameter given to a kind that does not read it is refused."""
 
     kind: str
-    values: tuple = ()  # explicit only
-    ratio: float = 0.0  # geometric q
+    values: tuple | None = None  # explicit: the list of weights
+    ratio: float | None = None  # geometric q (default 0.5)
     level: float | None = None  # constant c (default 1), or blocks high value c (default 2; low value 1/c)
 
     def __post_init__(self):
-        level = (2.0 if self.kind == "blocks" else 1.0) if self.level is None else self.level
-        object.__setattr__(self, "level", real_number(level, "level"))
+        reads = _KIND_PARAMETERS.get(self.kind) if isinstance(self.kind, str) else None
+        if reads is None:
+            raise InvalidInput(f"unknown weight kind {self.kind!r}")
+        for name in ("values", "ratio", "level"):
+            if name not in reads:
+                if getattr(self, name) is not None:
+                    raise InvalidInput(f"{self.kind} weights read no {name!r}")
+            elif getattr(self, name) is None:
+                object.__setattr__(self, name, reads[name])
         if self.kind == "explicit":
-            if not self.values:
-                raise InvalidInput("explicit weights need at least one value")
-            for i, v in enumerate(self.values):
-                real_number(v, f"values[{i}]")
+            if not isinstance(self.values, (list, tuple)) or not self.values:
+                raise InvalidInput(f"explicit values must be a nonempty list of weights, got {self.values!r}")
+            values = tuple(real_number(v, f"values[{i}]") for i, v in enumerate(self.values))
+            object.__setattr__(self, "values", values)
         elif self.kind == "geometric":
+            object.__setattr__(self, "ratio", real_number(self.ratio, "ratio"))
             if not 0.0 < self.ratio < 1.0:
                 raise InvalidInput("geometric ratio must lie in (0, 1)")
-        elif self.kind == "constant":
-            if self.level <= 0.0:
-                raise InvalidInput("constant weight must be positive")
-        elif self.kind == "blocks":
-            if self.level <= 1.0:
-                raise InvalidInput("blocks level must exceed 1")
         elif self.kind != "harmonic":
-            raise InvalidInput(f"unknown weight kind {self.kind!r}")
+            object.__setattr__(self, "level", real_number(self.level, "level"))
+            if self.kind == "constant" and self.level <= 0.0:
+                raise InvalidInput("constant weight must be positive")
+            if self.kind == "blocks" and self.level <= 1.0:
+                raise InvalidInput("blocks level must exceed 1")
 
     def weights(self, count: int) -> np.ndarray:
         """|w_1|, ..., |w_count| as magnitudes."""

@@ -137,12 +137,15 @@ def test_dunford_makes_one_schur_form(monkeypatch):
 
 def test_dunford_refuses_similar_jordan_block():
     # rounding splits the Jordan eigenvalue 0.5 into clusters whose Schur
-    # split has sep ~ eps ||A||: refused, with the sep as the residual
-    a = similar_jordan(4)
-    with pytest.raises(IllConditioned) as err:
-        decomp.dunford(a)
-    assert 0.0 < err.value.residual < decomp.SEP_FLOOR * max(1.0, linalg.norm2(a))
-    # a refusal is not memoized: the repeat refuses again, with the same sep
-    with pytest.raises(IllConditioned) as again:
-        decomp.dunford(a)
-    assert again.value.residual == err.value.residual
+    # split has sep ~ eps ||A||: refused, with the sep as the residual, at
+    # every scale s (an absolute cluster tolerance once merged the scattered
+    # eigenvalues below s = 1e-2, and at 1e-8 the level 1 with them)
+    for s in (1.0, 1e-2, 1e-4, 1e-8):
+        a = s * similar_jordan(4)
+        with pytest.raises(IllConditioned) as err:
+            decomp.dunford(a)
+        assert 0.0 < err.value.residual < decomp.SEP_FLOOR * linalg.norm2(a)
+        # a refusal is not memoized: the repeat refuses again, with the same sep
+        with pytest.raises(IllConditioned) as again:
+            decomp.dunford(a)
+        assert again.value.residual == err.value.residual

@@ -179,6 +179,14 @@ def test_cli_refuses_similar_jordan_block(tmp_path, command, k):
     assert [e["type"] for e in rec["errors"]] == ["IllConditioned"]
 
 
+def test_cli_limit_keeps_close_moduli_of_a_small_matrix(tmp_path):
+    # an absolute cluster tolerance once merged the two moduli into one at
+    # 0.9975e-4 and exited 0 with that wrong K
+    code, rec = _cli_run(tmp_path, 1e-4 * np.diag([1.0, 0.995]))
+    assert code == 0
+    assert rec["results"]["moduli"] == pytest.approx([9.95e-5, 1e-4], rel=1e-12)
+
+
 def test_cli_semigroup_records_overflowing_limit(tmp_path):
     # exp(1e4) leaves float range: a recorded refusal, not a NaN limit
     code, rec = _cli_run(tmp_path, 1e4 * np.array([[1.0, 1.0], [0.0, 0.5]]), "semigroup")
@@ -402,6 +410,27 @@ def test_cli_bad_weight_kind_is_recorded(tmp_path, config):
     assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "shift")]
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"kind": "explicit", "values": 5}, "explicit values must be a nonempty list of weights, got 5"),
+        ({"kind": "explicit", "values": {"a": 1}}, "explicit values must be a nonempty list of weights, got {'a': 1}"),
+        ({"kind": "harmonic", "values": [1]}, "harmonic weights read no 'values'"),
+        ({"kind": "harmonic", "ratio": 0.5}, "harmonic weights read no 'ratio'"),
+        ({"kind": "geometric", "level": 2.0}, "geometric weights read no 'level'"),
+        ({"kind": "constant", "ratio": 0.5}, "constant weights read no 'ratio'"),
+    ],
+    ids=["values-int", "values-dict", "harmonic-values", "harmonic-ratio", "geometric-level", "constant-ratio"],
+)
+def test_cli_shift_refuses_weight_parameters_its_kind_does_not_take(tmp_path, config, message):
+    # values 5 once recorded a TypeError, a dict was read as its keys, and a
+    # parameter the kind does not read was ignored with exit 0
+    out = tmp_path / "rec.json"
+    assert main(["shift", "--config", json.dumps(config), "--out", str(out)]) == 1
+    (error,) = json.loads(out.read_text())["errors"]
+    assert (error["type"], error["message"]) == ("InvalidInput", message)
+
+
 def test_vector_exponent_levels_are_limit_moduli():
     # both commands read one modulus resolution of the matrix: every exact
     # exponent is one of limit's moduli, bit for bit
@@ -494,13 +523,15 @@ def test_cli_refuses_sizes_that_are_no_positive_integer(tmp_path, command, confi
 
 
 # (command, name) of every --config parameter whose value must be a real
-# number: each float default, and shift's level
+# number: each float default, and shift's ratio and level
 REAL_PARAMETERS = [
     (command, name)
     for command, cmd in cli._DISPATCH.items()
     for name, p in cli._signature(cmd).parameters.items()
     if type(p.default) is float
-] + [("shift", "level")]
+] + [("shift", "ratio"), ("shift", "level")]
+# the weight kind that reads each of shift's weight parameters
+WEIGHT_KINDS = {"ratio": "geometric", "level": "constant"}
 
 
 @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
@@ -509,7 +540,7 @@ def test_cli_refuses_real_parameters_that_are_no_number(tmp_path, command, name,
     # float() once read "0.5" as 0.5, and a tolerance of true as 1.0, and exited 0
     out = tmp_path / "rec.json"
     source = [] if command == "shift" else ["--seed", "1"]
-    config = {"kind": "constant", name: value} if name == "level" else {name: value}
+    config = {"kind": WEIGHT_KINDS[name], name: value} if name in WEIGHT_KINDS else {name: value}
     assert main([command, *source, "--config", json.dumps(config), "--out", str(out)]) == 1
     (error,) = json.loads(out.read_text())["errors"]
     assert error["type"] == "InvalidInput"

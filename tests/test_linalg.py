@@ -156,11 +156,12 @@ def test_dunford_parts_are_fresh_arrays():
 
 
 def test_norm2_is_numpy_spectral_norm(rng):
+    # a real or integer matrix is taken as complex128, as every caller passes it
     cases = [random_complex(rng, (m, m)) for m in (2, 5, 8)]
     cases += [rng.standard_normal((4, 4)), rng.integers(-9, 9, size=(3, 3))]
     cases += [np.zeros((3, 3), dtype=complex), np.array([[-2.5 + 1j]])]
     for x in cases:
-        assert linalg.norm2(x) == float(np.linalg.norm(x, 2))
+        assert linalg.norm2(x) == float(np.linalg.norm(x.astype(complex), 2))
 
 
 def _svd_cases(rng):

@@ -347,6 +347,14 @@ def test_flag_step_raises_on_lapack_failure(monkeypatch, routine):
         powerit._flag_steps(FIXTURE, np.eye(2, dtype=complex), np.empty((3, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("a", [1e-300, 1e-310, 5e-320])
+def test_power_read_outs_of_a_matrix_with_a_subnormal_norm(a):
+    # numpy divides by a norm through its reciprocal, which overflows at a
+    # subnormal norm: the chain once raised LinAlgError from the SVD of inf
+    assert powerit.yamamoto_limits([[a]], 16)[0] == pytest.approx(a, rel=1e-12)
+    assert abs(powerit.normalized_power([[a]], 16)[0, 0]) == pytest.approx(a, rel=1e-12)
+
+
 def test_normalized_power_nilpotent_is_zero():
     n = np.array([[0, 1], [0, 0]], dtype=complex)
     assert linalg.norm2(powerit.normalized_power(n, 8)) == 0.0

@@ -136,3 +136,34 @@ def test_semigroup_limit_matches_range_oracle():
         k = semigroup_limit(halfplane_resolution(dec)).matrix
         worst = max(worst, linalg.norm2(k - range_oracle(dec, np.real, np.exp)))
     assert worst <= 1e-12
+
+
+def _homogeneity_inputs():
+    yield np.diag([1.0, 0.995]).astype(complex)
+    yield np.array([[1, 1], [0, 0.5]], dtype=complex)
+    for i, dim in enumerate((3, 4, 5, 6, 8)):
+        yield generate_instance(8400 + i, InstanceSpec(dim=dim)).matrix
+
+
+def _scaled_answers(a):
+    dec = dunford(a)
+    mod, half = modulus_resolution(dec), halfplane_resolution(dec)
+    exponents = [vector_exponent_exact(dec, x) for x in (*np.eye(a.shape[0]), np.ones(a.shape[0]))]
+    multiplicities = [p.cluster.multiplicity for p in dec.idempotents]
+    return multiplicities, mod.levels, half.levels, limit_operator(mod).matrix, exponents
+
+
+@pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-12, 1e-40, 1e-300, 1e100])
+def test_every_spectral_decision_is_homogeneous(c):
+    # K(cA) = c K(A): the clusters, cuts and refusals of cA are those of A at
+    # every scale.  Below ||A|| = 1 they once used absolute tolerances, which
+    # merged the two levels of 1e-4 diag(1, 0.995) into one
+    for a in _homogeneity_inputs():
+        mult, mod, half, k, exps = _scaled_answers(a)
+        mult_c, mod_c, half_c, k_c, exps_c = _scaled_answers(c * a)
+        assert mult_c == mult
+        assert (len(mod_c), len(half_c)) == (len(mod), len(half))
+        np.testing.assert_allclose(np.array(mod_c) / c, mod, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.array(half_c) / c, half, rtol=0.0, atol=1e-12)
+        assert linalg.norm2(k_c / c - k) <= 1e-12
+        np.testing.assert_allclose(np.array(exps_c) / c, exps, rtol=0.0, atol=1e-12)

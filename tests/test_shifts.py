@@ -19,7 +19,8 @@ def test_weight_kinds_values():
     # blocks of lengths 1, 2, 4 alternating c and 1/c
     assert WeightSequence("blocks", level=2.0).weights(7) == pytest.approx([2, 0.5, 0.5, 2, 2, 2, 2])
     assert WeightSequence("explicit", values=(1.0, -2.0)).weights(2) == pytest.approx([1.0, 2.0])
-    # the default levels: c = 1, and c = 2 for blocks
+    # the defaults: q = 0.5, c = 1, and c = 2 for blocks
+    assert WeightSequence("geometric").weights(2) == pytest.approx([0.5, 0.25])
     assert WeightSequence("constant").weights(2) == pytest.approx([1.0, 1.0])
     assert WeightSequence("blocks").weights(3) == pytest.approx([2.0, 0.5, 0.5])
 
