@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg, shifts
-from .decomp import dunford
+from .decomp import dunford, schur_form
 from .errors import InvalidInput, UsageError, positive_int, real_number
 from .instances import InstanceSpec, generate_instance
 from .mmio import complex_pairs, parse_matrix, read_source
@@ -97,11 +97,12 @@ def _sorted_moduli(a):
 def _cmd_decompose(record, config, tol=1e-8, instance=None):
     a = _acquire(config, instance)
     dec = dunford(a)
-    d, n = dec.scalar_part, dec.nilpotent_part
+    d = dec.scalar_part
+    n = dec.matrix - d  # dec.nilpotent_part, without forming D again
     m = a.shape[0]
     # The one floored scale: the four residuals carry the powers 1, 0, 2 and m
     # of ||A||, so no single power of ||A|| is homogeneous for all of them.
-    scale = max(1.0, linalg.norm2(a))
+    scale = max(1.0, schur_form(a)[2])
     tol *= scale
     record.add_check("reconstruction", linalg.norm2(d + n - a), tol)
     record.add_check(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import IllConditioned, NumericalFailure
+from .errors import IllConditioned, InvalidInput, NumericalFailure
 from .linalg import lapack
 
 # A split of the Schur form is refused when sep(T11, T22) is below
@@ -105,16 +105,37 @@ def single_linkage(values, tol: float) -> list[list[int]]:
     return groups
 
 
+def cluster_means(values, groups) -> np.ndarray:
+    """``np.mean`` of ``values`` (a real or complex array) over each index
+    group, to the bit; InvalidInput when a mean leaves float range."""
+    # np.mean is its sum divided by the count.  The sum starts from +0, so a
+    # singleton's mean is its value plus +0.
+    means = values[[g[0] for g in groups]] + 0
+    for n, g in enumerate(groups):
+        if len(g) > 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                means[n] = np.add.reduce(values[g]) / len(g)
+    if not np.isfinite(means).all():
+        g = groups[int(np.argmin(np.isfinite(means)))]
+        raise InvalidInput(
+            f"the mean of the {len(g)} clustered values near {values[g[0]]:.6g} leaves float range"
+        )
+    return means
+
+
 def eigen_clusters(a) -> list:
     """Single-linkage clustering of the eigenvalues of A (the Schur diagonal).
 
     Clusters are returned sorted by (Re, Im) of their representatives and are
-    pairwise separated by more than ``CLUSTER_TOL * ||A||``.
+    pairwise separated by more than ``CLUSTER_TOL * ||A||``.  A representative
+    is its cluster's mean, refused when it leaves float range.
     """
     t, _, scale = schur_form(a)
-    eigvals = [complex(z) for z in t.diagonal()]
-    groups = [[eigvals[i] for i in g] for g in single_linkage(eigvals, CLUSTER_TOL * scale)]
-    clusters = [EigenCluster(complex(np.mean(vals)), tuple(vals)) for vals in groups]
+    eigvals = t.diagonal()
+    members = eigvals.tolist()
+    groups = single_linkage(members, CLUSTER_TOL * scale)
+    reps = cluster_means(eigvals, groups).tolist()
+    clusters = [EigenCluster(rep, tuple(members[i] for i in g)) for rep, g in zip(reps, groups)]
     clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
     return clusters
 
@@ -135,7 +156,9 @@ def spectral_idempotent(a, cluster: EigenCluster) -> SpectralIdempotent:
         y, s, info = lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], "N", "N", -1)
         if info < 0:
             raise NumericalFailure(f"ztrsyl failed with info={info}")
-        p = z[:, :k] @ np.hstack([np.eye(k), y / s]) @ z.conj().T
+        w = np.eye(k, m, dtype=np.complex128)  # [I, Y]
+        w[:, k:] = y / s
+        p = z[:, :k] @ w @ z.conj().T
     return SpectralIdempotent(matrix=p, cluster=cluster)
 
 

@@ -50,7 +50,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     m = np.ascontiguousarray(m)  # the float64 view needs a contiguous last axis
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m.view(np.float64)).all():
         raise InvalidInput("matrix has non-finite entries")
     return m
 
@@ -91,12 +91,10 @@ def matrix_memo(maxsize: int):
     def freeze(x):
         if isinstance(x, np.ndarray):
             x.flags.writeable = False
-        elif isinstance(x, tuple):
-            for y in x:
-                freeze(y)
-        elif dataclasses.is_dataclass(x):
-            for field in dataclasses.fields(x):
-                freeze(getattr(x, field.name))
+        elif isinstance(x, tuple) or dataclasses.is_dataclass(x):
+            for y in x if isinstance(x, tuple) else vars(x).values():
+                if not isinstance(y, (int, float, complex)):  # a number holds no array
+                    freeze(y)
         return x
 
     def decorate(f):

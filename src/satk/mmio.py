@@ -9,7 +9,9 @@ or whose dimension passes ``MAX_DIM``.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +64,6 @@ def _parse_mm_lines(lines) -> np.ndarray:
         raise ParseError("matrix dimensions must be positive", line=size_no)
     _check_dim(rows, cols)
 
-    def value_of(toks, no):
-        try:
-            if field == "complex":
-                return complex(float(toks[0]), float(toks[1]))
-            return complex(float(toks[0]))
-        except (ValueError, IndexError):
-            raise ParseError("malformed numeric entry", line=no)
-
     data = body[1:]
     count = rows * cols if layout == "array" else sizes[2]
     if len(data) != count:  # before allocating: the size line alone sets the allocation
@@ -77,29 +71,56 @@ def _parse_mm_lines(lines) -> np.ndarray:
             f"expected {count} entries, found {len(data)}",
             line=data[-1][0] if data else size_no,
         )
-    value_width = 2 if field == "complex" else 1
+    # all values in one conversion, all indices in one map; only a body that
+    # fails them is scanned line by line, for its first bad line
+    width = 2 if field == "complex" else 1
+    stride = width if layout == "array" else 2 + width
+    toks = [text.split() for _, text in data]
+    tokens = list(itertools.chain.from_iterable(toks))
+    try:
+        if set(map(len, toks)) - {stride}:
+            raise ValueError
+        if layout == "coordinate":
+            i, j = list(map(int, tokens[0::stride])), list(map(int, tokens[1::stride]))
+            if count and not (1 <= min(i) and max(i) <= rows and 1 <= min(j) and max(j) <= cols):
+                raise ValueError
+            del tokens[0::stride], tokens[0::stride - 1]  # each line's i, then its j
+        parts = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        raise _bad_mm_entry(data, layout, width, rows, cols) from None
+    # a real entry gets the imaginary part +0
+    values = parts.view(np.complex128) if width == 2 else parts.astype(np.complex128)
+    if layout == "array":  # column-major, one entry per line
+        return values.reshape(cols, rows).T
+    # of a repeated coordinate the last entry wins: each cell keeps its last line
+    cells = dict(zip([(r - 1) * cols + c - 1 for r, c in zip(i, j)], range(count)))
     out = np.zeros((rows, cols), dtype=np.complex128)
+    out.reshape(-1)[list(cells)] = values[list(cells.values())]
+    return out
 
-    if layout == "array":
-        # column-major scan, one entry per line
-        for idx, (no, text) in enumerate(data):
-            toks = text.split()
-            if len(toks) != value_width:
-                raise ParseError("malformed numeric entry", line=no)
-            out[idx % rows, idx // rows] = value_of(toks, no)
-    else:
-        for no, text in data:
-            toks = text.split()
-            if len(toks) != 2 + value_width:
-                raise ParseError("malformed coordinate entry", line=no)
+
+def _bad_mm_entry(data, layout, width, rows, cols) -> ParseError:
+    """The error of the first line that does not read, of a Matrix Market
+    body whose whole-body read failed."""
+    for no, text in data:
+        toks = text.split()
+        if layout == "array":
+            if len(toks) != width:
+                return ParseError("malformed numeric entry", line=no)
+        else:
+            if len(toks) != 2 + width:
+                return ParseError("malformed coordinate entry", line=no)
             try:
                 i, j = int(toks[0]), int(toks[1])
             except ValueError:
-                raise ParseError("malformed coordinate entry", line=no)
+                return ParseError("malformed coordinate entry", line=no)
             if not (1 <= i <= rows and 1 <= j <= cols):
-                raise ParseError("coordinate out of range", line=no)
-            out[i - 1, j - 1] = value_of(toks[2:], no)
-    return out
+                return ParseError("coordinate out of range", line=no)
+            toks = toks[2:]
+        try:
+            [float(tok) for tok in toks]
+        except ValueError:
+            return ParseError("malformed numeric entry", line=no)
 
 
 def _parse_json_obj(obj) -> np.ndarray:
@@ -117,31 +138,41 @@ def _parse_json_obj(obj) -> np.ndarray:
 
 def complex_pairs(pairs, what: str = "entry") -> np.ndarray:
     """[re, im] pairs of JSON numbers, not bools, as complex128; an error names ``what`` and its index."""
-    out = np.empty(len(pairs), dtype=np.complex128)
+    try:
+        parts = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+        numeric = {int, float}.issuperset(map(type, itertools.chain.from_iterable(pairs)))
+    except (ValueError, TypeError, OverflowError):
+        numeric = False
+    if not numeric:  # only a list that fails is scanned, for its first bad pair
+        raise _bad_pair(pairs, what)
+    return parts.view(np.complex128).reshape(len(pairs))
+
+
+def _bad_pair(pairs, what: str) -> ValueError:
+    """The error of the first pair that does not read, of pairs whose whole read failed."""
     for idx, pair in enumerate(pairs):
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
             or not all(type(v) in (int, float) for v in pair)
         ):
-            raise ParseError(f"{what} {idx} is not a [re, im] pair")
+            return ParseError(f"{what} {idx} is not a [re, im] pair")
         try:
-            out[idx] = complex(pair[0], pair[1])
+            float(pair[0]), float(pair[1])
         except OverflowError:  # an integer past float range
-            raise InvalidInput(f"{what} {idx} is past float range") from None
-    return out
+            return InvalidInput(f"{what} {idx} is past float range")
 
 
 def read_source(source) -> str:
     """The contents of the file ``source`` names, or ``source`` itself as inline text.
 
-    A directory is not read: its name comes back as inline text."""
+    A directory is not read: its name comes back as inline text, and so does
+    text that cannot name a file (too long, or holding a NUL)."""
     text = str(source)
-    try:
-        is_file = isinstance(source, (str, Path)) and Path(text).is_file()
-    except OSError:  # e.g. inline text longer than a legal file name
-        is_file = False
-    return Path(text).read_text() if is_file else text
+    if isinstance(source, (str, Path)) and os.path.isfile(text):
+        with open(text) as fh:
+            return fh.read()
+    return text
 
 
 def parse_matrix(source) -> np.ndarray:

@@ -92,6 +92,13 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biufc":
+        # a numeric array in one tolist(), its parts as a last axis of [re, im];
+        # only one holding a non-finite number is walked, to spell it
+        finite = obj.dtype.kind in "biu" or np.isfinite(obj).all()
+        if obj.dtype.kind == "c":
+            obj = np.stack((obj.real, obj.imag), axis=-1)
+        return obj.tolist() if finite else _jsonable(obj.tolist())
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (complex, np.complexfloating)):

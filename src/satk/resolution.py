@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .decomp import CLUSTER_TOL, DunfordDecomposition, reorder_schur, schur_form, single_linkage
+from .decomp import CLUSTER_TOL, DunfordDecomposition, cluster_means, reorder_schur, schur_form, single_linkage
 from .errors import IllConditioned, InvalidInput
 
 MEMBERSHIP_TOL = 1e-8
@@ -51,9 +51,9 @@ def _resolution(a, key, clusters: tuple) -> LevelResolution:
     refused if their count is not the multiplicity below it.  Membership
     tests share this memo."""
     t, z, scale = schur_form(a)
-    values = np.array([key(rep) for rep, _ in clusters])
-    groups = single_linkage(values, CLUSTER_TOL * scale)
-    levels, groups = zip(*sorted((float(np.mean(values[g])), g) for g in groups))
+    values = key(np.array([rep for rep, _ in clusters]))
+    groups = single_linkage(values.tolist(), CLUSTER_TOL * scale)
+    levels, groups = zip(*sorted(zip(cluster_means(values, groups).tolist(), groups)))
     projections = []
     rank = 0
     for j, group in enumerate(groups[:-1]):
@@ -117,7 +117,7 @@ def semigroup_limit(res: LevelResolution) -> LimitOperator:
 
 
 def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
-    """Smallest level whose F_j contains x; None for x = 0; refused past float range."""
+    """Smallest level whose F_j contains x; None for x = 0."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     m = dec.matrix.shape[0]
     if x.shape[0] != m:
@@ -130,8 +130,6 @@ def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
     for level, f in zip(res.levels, res.projections):
         if np.linalg.norm(f @ x - x) <= MEMBERSHIP_TOL * nx:
             break
-    if not np.isfinite(level):
-        raise InvalidInput(f"the level {level} of the vector leaves float range")
     return level
 
 
@@ -162,4 +160,4 @@ def check_resolution(a, res: LevelResolution) -> float:
     a = linalg.as_matrix(a)
     eye = np.eye(a.shape[0])
     worst = max(linalg.norm2((eye - f) @ a @ f) for f in res.projections)
-    return worst / linalg.norm2(a) if worst else 0.0
+    return worst / schur_form(a)[2] if worst else 0.0  # ||A|| from the Schur form's memo

@@ -2,17 +2,21 @@
 
 Dense operator-inequality tools (the Loewner lemmas of the paper's proof are
 checked with them), literal matrix powers, binary powering of one n on its
-own, the range-projection form of the limit, and the inverses of satk's
-writers.  None of them is on a computing path of satk, so they live here and
-not in ``src/``.
+own, the range-projection form of the limit, the inverses of satk's writers,
+and the entry-by-entry forms of the matrix reader and the record converter
+that satk's whole-array ones must match to the bit.  None of them is on a
+computing path of satk, so they live here and not in ``src/``.
 """
 
 import csv
+import json
+import math
 
 import numpy as np
 
 from satk import linalg
-from satk.errors import InvalidInput
+from satk.errors import InvalidInput, ParseError
+from satk.mmio import MAX_DIM
 from satk.powerit import ScaledPower
 
 # PSD_TOL is the relative slack allowed for roundoff negativity; HERM_TOL
@@ -218,3 +222,136 @@ def matrix_to_json(a) -> dict:
     a = linalg.as_matrix(a)
     entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
     return {"dim": int(a.shape[0]), "entries": entries}
+
+
+def jsonable(obj):
+    """``records._jsonable`` entry by entry: each array is walked to its numbers."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [jsonable(float(obj.real)), jsonable(float(obj.imag))]
+    if isinstance(obj, (np.floating, np.integer)):
+        return jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def parse_matrix_per_entry(text: str) -> np.ndarray:
+    """``mmio.parse_matrix`` of inline text, converting one entry at a time."""
+    stripped = text.lstrip()
+    if not stripped:
+        raise ParseError("empty input", line=1)
+    if stripped.lower().startswith("%%matrixmarket"):
+        lines = [(no, raw) for no, raw in enumerate(text.splitlines(), start=1)]
+        first = next(i for i, (_, raw) in enumerate(lines) if raw.strip())
+        mat = _mm_per_entry(lines[first:])
+    else:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno)
+        mat = _json_per_entry(obj)
+    return linalg.as_matrix(mat)
+
+
+def _check_dim(rows, cols):
+    if rows != cols:
+        raise InvalidInput(f"matrix is {rows}x{cols}, expected square")
+    if rows > MAX_DIM:
+        raise InvalidInput(f"matrix dimension {rows} exceeds the limit of {MAX_DIM}")
+
+
+def _mm_per_entry(lines) -> np.ndarray:
+    header = lines[0][1].split()
+    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
+        raise ParseError("not a Matrix Market header", line=lines[0][0])
+    _, obj, layout, field, symmetry = (tok.lower() for tok in header)
+    if obj != "matrix":
+        raise ParseError(f"unsupported object {obj!r}", line=lines[0][0])
+    if layout not in ("array", "coordinate"):
+        raise ParseError(f"unsupported layout {layout!r}", line=lines[0][0])
+    if field not in ("real", "integer", "complex"):
+        raise ParseError(f"unsupported field {field!r}", line=lines[0][0])
+    if symmetry != "general":
+        raise ParseError(f"unsupported symmetry {symmetry!r}", line=lines[0][0])
+    body = [(no, text) for no, text in lines[1:] if not text.lstrip().startswith("%")]
+    body = [(no, text) for no, text in body if text.strip()]
+    if not body:
+        raise ParseError("missing size line", line=lines[-1][0])
+    size_no, size_text = body[0]
+    sizes = size_text.split()
+    if len(sizes) != (3 if layout == "coordinate" else 2):
+        raise ParseError("malformed size line", line=size_no)
+    try:
+        sizes = [int(tok) for tok in sizes]
+    except ValueError:
+        raise ParseError("malformed size line", line=size_no)
+    rows, cols = sizes[0], sizes[1]
+    if rows < 1 or cols < 1:
+        raise ParseError("matrix dimensions must be positive", line=size_no)
+    _check_dim(rows, cols)
+
+    def value_of(toks, no):
+        try:
+            if field == "complex":
+                return complex(float(toks[0]), float(toks[1]))
+            return complex(float(toks[0]))
+        except (ValueError, IndexError):
+            raise ParseError("malformed numeric entry", line=no)
+
+    data = body[1:]
+    count = rows * cols if layout == "array" else sizes[2]
+    if len(data) != count:
+        raise ParseError(f"expected {count} entries, found {len(data)}", line=data[-1][0] if data else size_no)
+    width = 2 if field == "complex" else 1
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    if layout == "array":
+        for idx, (no, text) in enumerate(data):
+            toks = text.split()
+            if len(toks) != width:
+                raise ParseError("malformed numeric entry", line=no)
+            out[idx % rows, idx // rows] = value_of(toks, no)
+    else:
+        for no, text in data:
+            toks = text.split()
+            if len(toks) != 2 + width:
+                raise ParseError("malformed coordinate entry", line=no)
+            try:
+                i, j = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise ParseError("malformed coordinate entry", line=no)
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise ParseError("coordinate out of range", line=no)
+            out[i - 1, j - 1] = value_of(toks[2:], no)
+    return out
+
+
+def _json_per_entry(obj) -> np.ndarray:
+    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
+        raise ParseError("JSON matrix needs 'dim' and 'entries' fields")
+    dim = obj["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ParseError("'dim' must be a positive integer")
+    _check_dim(dim, dim)
+    entries = obj["entries"]
+    if not isinstance(entries, list) or len(entries) != dim * dim:
+        raise ParseError(f"'entries' must hold {dim * dim} [re, im] pairs")
+    return complex_pairs_per_entry(entries).reshape(dim, dim)
+
+
+def complex_pairs_per_entry(pairs, what: str = "entry") -> np.ndarray:
+    """``mmio.complex_pairs``, one pair at a time."""
+    out = np.empty(len(pairs), dtype=np.complex128)
+    for idx, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(type(v) in (int, float) for v in pair):
+            raise ParseError(f"{what} {idx} is not a [re, im] pair")
+        try:
+            out[idx] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise InvalidInput(f"{what} {idx} is past float range") from None
+    return out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satk import decomp, linalg
-from satk.errors import IllConditioned
+from satk.errors import IllConditioned, InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import modulus_resolution
 
@@ -149,3 +151,26 @@ def test_dunford_refuses_similar_jordan_block():
         with pytest.raises(IllConditioned) as again:
             decomp.dunford(a)
         assert again.value.residual == err.value.residual
+
+
+_PARTS = st.floats(allow_nan=False, allow_infinity=False, max_value=1e300, min_value=-1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_PARTS, _PARTS, st.integers(0, 3)), min_size=1, max_size=9),
+    st.booleans(),
+)
+def test_cluster_means_are_numpy_means_to_the_bit(entries, real):
+    # a singleton's mean too: np.mean([-0.0]) is +0.0
+    values = np.array([complex(re, im) for re, im, _ in entries])
+    values = values.real.copy() if real else values
+    labels = [label for _, _, label in entries]
+    groups = [[i for i, x in enumerate(labels) if x == label] for label in sorted(set(labels))]
+    means = decomp.cluster_means(values, groups)
+    assert [m.tobytes() for m in means] == [np.mean(values[g]).tobytes() for g in groups]
+
+
+def test_cluster_means_refuses_a_mean_past_float_range():
+    with pytest.raises(InvalidInput, match="the mean of the 2 clustered values near 1.5e\\+308 leaves float range"):
+        decomp.cluster_means(np.array([1.0, 1.5e308, 1e308]), [[0], [1, 2]])

@@ -6,11 +6,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import satk
 from satk import cli, decomp, linalg, mmio, records
@@ -22,7 +24,7 @@ from satk.powerit import normalized_power
 from satk.records import ARTIFACT_VERSION, RunConfig, write_error_csv
 
 from conftest import clear_memos, dt_like, satk_memos, similar_jordan
-from oracles import matrix_to_json, read_error_csv
+from oracles import jsonable, matrix_to_json, parse_matrix_per_entry, read_error_csv
 
 FIXTURE_JSON = '{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [2, 0]]}'
 
@@ -199,13 +201,33 @@ def test_cli_semigroup_records_overflowing_limit(tmp_path):
     "a", [np.diag([1e308, 1e308]), np.array([[1.5e308, 1e308], [0.0, 1e308]])], ids=["diag", "upper"]
 )
 def test_cli_limit_records_overflowing_limit(tmp_path, a):
-    # the mean modulus of the one cluster overflows: a recorded refusal, not
-    # moduli ["inf"] and a "nan" K with exit 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, rec = _cli_run(tmp_path, a)
+    # the mean of the one cluster overflows: a recorded refusal, not
+    # moduli ["inf"] and a "nan" K with exit 0, and no warning
+    code, rec = _cli_run(tmp_path, a)
     assert code == 1
     assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "limit")]
     assert "leaves float range" in rec["errors"][0]["message"]
+
+
+def test_cli_decompose_refuses_overflowing_representative(tmp_path):
+    # the mean of the one cluster overflows: a recorded refusal, not
+    # numpy's warnings and "LinAlgError: SVD did not converge"
+    code, rec = _cli_run(tmp_path, np.diag([1e308, 1e308]), "decompose")
+    assert code == 1
+    assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "decompose")]
+    assert rec["errors"][0]["message"] == "the mean of the 2 clustered values near 1e+308+0j leaves float range"
+
+
+@pytest.mark.parametrize("command", ["decompose", "limit"])
+def test_cli_overflowing_representative_prints_nothing(tmp_path, command):
+    # a new process, so no warning filter of the suite hides or raises one
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(json.dumps(matrix_to_json(np.diag([1e308, 1e308]))))
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    argv = [sys.executable, "-m", "satk.cli", command, "--input", str(src), "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", "")
+    assert json.loads(out.read_text())["errors"][0]["type"] == "InvalidInput"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])
@@ -588,13 +610,13 @@ def test_cli_vector_exponent_refuses_vectors_that_are_no_list_of_vectors(tmp_pat
 )
 def test_cli_refuses_vector_level_past_float_range(tmp_path, command, level):
     # the mean of the one cluster overflows: vector-exponent once recorded
-    # exact ["inf", "inf"] rather than a refusal
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, rec = _cli_run(tmp_path, np.diag([level, level]), command)
+    # exact ["inf", "inf"] rather than a refusal; now the cluster's
+    # representative is refused, with no warning
+    code, rec = _cli_run(tmp_path, np.diag([level, level]), command)
     assert code == 1
     assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", command)]
-    inf = math.copysign(math.inf, level)
-    assert rec["errors"][0]["message"] == f"the level {inf} of the vector leaves float range"
+    near = complex(level, 0.0)
+    assert rec["errors"][0]["message"] == f"the mean of the 2 clustered values near {near:.6g} leaves float range"
 
 
 def test_cli_vector_exponent_of_a_subnormal_level(tmp_path, capsys):
@@ -775,12 +797,19 @@ _BODIES = st.one_of(
 )
 
 
-def _parse_or_refuse(text):
-    """parse_matrix may refuse a text only with ParseError or InvalidInput."""
+def _outcome(parse, text):
+    """The bytes of the matrix read, or the type, message and line of the refusal."""
     try:
-        parse_matrix(text)
-    except (ParseError, InvalidInput):
-        pass
+        return parse(text).tobytes()
+    except (ParseError, InvalidInput) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def _parse_or_refuse(text):
+    """parse_matrix may refuse a text only with ParseError or InvalidInput, and
+    reads it as the entry-by-entry reader does: the same bytes, or the same
+    refusal on the same line."""
+    assert _outcome(parse_matrix, text) == _outcome(parse_matrix_per_entry, text)
 
 
 @settings(max_examples=50, deadline=None)
@@ -847,3 +876,83 @@ def test_parse_matrix_fuzz_near_valid_bodies(text, data):
             lines.insert(i, lines[i])
         text = "\n".join(lines)
     _parse_or_refuse(text)
+
+
+# Number spellings that float() reads as finite numbers: signed zeros,
+# subnormals, integers (some past 2**64), exponents; Matrix Market also takes
+# digit separators, a plus sign, bare points and other digits.
+_JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6E}"),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["-0", "-0.0", "0e0", "-0E-0", "5e-324", "-4.9e-324", "2.2250738585072011e-308"]),
+)
+_MM_NUMBERS = _JSON_NUMBERS | st.sampled_from(["1_0", "-1_000.5", "+3", ".5", "5.", "\u0663", "\u0661_\u0660"])
+_MM_INDEX = st.sampled_from(["{}", "+{}", "0{}", "\u0660{}"])
+# One token of a body may be spoiled: a number past float range, one that is
+# no number, a token taken away ("") or one added ("7 7").
+_JSON_SPOILS = st.sampled_from(["1e999", str(10**400)])
+_MM_SPOILS = _JSON_SPOILS | st.sampled_from(["infinity", "-nan", "0x10", "1__0", "1.0.0", "", "7 7"])
+_INDEX_SPOILS = st.sampled_from(["0", "-1", "5", "1.0", "1e0", ""])  # m <= 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["json", "array", "coordinate"]), st.data())
+def test_parse_matrix_matches_the_per_entry_reader(m, form, data):
+    # every entry to the bit, of a repeated coordinate the last one, and any
+    # refusal with its type, message and line
+    numbers = _JSON_NUMBERS if form == "json" else _MM_NUMBERS
+    field = "complex" if form == "json" else data.draw(st.sampled_from(["complex", "real", "integer"]))
+    width = 2 if field == "complex" else 1
+    count = m * m if form != "coordinate" else data.draw(st.integers(0, 2 * m * m))
+    index = st.builds(str.format, _MM_INDEX, st.integers(1, m))
+    rows = [
+        ([data.draw(index), data.draw(index)] if form == "coordinate" else [])
+        + data.draw(st.lists(numbers, min_size=width, max_size=width))
+        for _ in range(count)
+    ]
+    if rows and data.draw(st.booleans()):
+        row = data.draw(st.sampled_from(rows))
+        k = data.draw(st.integers(0, len(row) - 1))
+        spoils = _JSON_SPOILS if form == "json" else _INDEX_SPOILS if form == "coordinate" and k < 2 else _MM_SPOILS
+        row[k] = data.draw(spoils)
+    if form == "json":
+        text = f'{{"dim": {m}, "entries": [{", ".join(f"[{re}, {im}]" for re, im in rows)}]}}'
+    else:
+        size = f"{m} {m}" if form == "array" else f"{m} {m} {count}"
+        lines = [f"%%MatrixMarket matrix {form} {field} general", size, *(" ".join(row) for row in rows)]
+        text = "\n".join(lines) + "\n"
+    _parse_or_refuse(text)
+
+
+def test_parse_matrix_coordinate_keeps_the_last_repeated_entry():
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 2 5\n2 1 -0.0\n1 2 7\n"
+    a = parse_matrix(text)
+    assert a.tobytes() == np.array([[0, 7], [-0.0, 0]], dtype=np.complex128).tobytes()
+
+
+_RECORD_DTYPES = [np.float64, np.float32, np.float16, np.complex128, np.complex64, np.int64, np.int8, np.uint32, np.bool_]
+_VIEWS = {
+    "itself": lambda x: x,
+    "transposed": lambda x: x.T,
+    "reversed": lambda x: x[::-1] if x.ndim else x,
+    "strided": lambda x: x[..., ::2] if x.ndim else x,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_RECORD_DTYPES).flatmap(
+        lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+    ),
+    st.sampled_from(sorted(_VIEWS)),
+)
+def test_record_bytes_match_the_per_entry_converter(arr, view):
+    # signed zeros, subnormals, inf and nan included: the whole-array
+    # conversion writes the bytes the entry-by-entry one writes
+    arr = _VIEWS[view](arr)
+    rec = records.RunRecord(RunConfig(command="limit"), results={"x": arr, "nested": (arr, [arr, 1.5])})
+    rec.add_check("c", 0.5, 1.0)
+    with mock.patch.object(records, "_jsonable", jsonable):
+        want = rec.to_json()
+    assert rec.to_json() == want

@@ -19,6 +19,16 @@ from conftest import clear_memos, dt_like, random_complex, random_projection
 from oracles import range_oracle
 
 
+@pytest.mark.parametrize("key", [np.abs, np.real], ids=["modulus", "real-part"])
+def test_level_keys_of_an_array_are_the_keys_one_by_one(key):
+    # _resolution keys all representatives in one call; a level must keep the
+    # bits of the key of each representative alone
+    rng = np.random.default_rng(5)
+    scales = 10.0 ** rng.integers(-300, 300, (2, 20000))  # each part its own decade
+    reps = rng.standard_normal(20000) * scales[0] + 1j * rng.standard_normal(20000) * scales[1]
+    assert key(reps).tobytes() == np.array([key(complex(z)) for z in reps]).tobytes()
+
+
 def test_cluster_values_groups_gaps():
     vals = np.array([0.0, 1.0, 1.05, 3.0])
     groups = single_linkage(vals, 0.1)
