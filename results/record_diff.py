@@ -10,7 +10,7 @@ name the same runs in the same order.  A record is flattened to key paths:
 exit status changed and, for each key path that differs in some run, in how
 many runs it differs and the largest absolute difference of its numbers, or
 the side it is on when it is on one side only (``-`` when it is not
-numeric).
+numeric), and then the runs whose record moved.
 """
 
 import json
@@ -67,7 +67,7 @@ def main(parent_out, parent_keep, change_out, change_keep):
     parent, change = json.loads(Path(parent_out).read_text()), json.loads(Path(change_out).read_text())
     for name in ("fresh", "in_process"):
         diffs = defaultdict(lambda: defaultdict(list))  # command -> key -> differences
-        runs, exits = defaultdict(int), defaultdict(list)
+        runs, exits, moved = defaultdict(int), defaultdict(list), defaultdict(list)
         for i, ((run, code_p, _), (run_c, code_c, _)) in enumerate(zip(parent[name], change[name])):
             assert run == run_c, (run, run_c)
             command = run.split()[0]
@@ -76,6 +76,8 @@ def main(parent_out, parent_keep, change_out, change_keep):
                 exits[command].append(f"{run}: {code_p} -> {code_c}")
             a = flatten(json.loads((Path(parent_keep) / name / f"{i}.json").read_text()))
             b = flatten(json.loads((Path(change_keep) / name / f"{i}.json").read_text()))
+            if a != b:
+                moved[command].append(run.replace("--input WORKDIR/", ""))
             for key in sorted(set(a) | set(b)):
                 va, vb = a.get(key, MISSING), b.get(key, MISSING)
                 if va is MISSING or vb is MISSING:
@@ -93,6 +95,8 @@ def main(parent_out, parent_keep, change_out, change_keep):
                 else:
                     size = "-" if None in ds else f"{max(ds):.3g}"
                     print(f"  - `{key}`: {len(ds)} runs, largest difference {size}")
+            if moved[command]:
+                print(f"  - moved: {', '.join(moved[command])}")
         print()
 
 

@@ -4,8 +4,9 @@ One construction serves both limits of the paper.  The spectrum is grouped
 into levels by a key: the eigenvalue modulus for lim |A^n|^(1/n), the real
 part for lim |exp(tA)|^(1/t).  F_j, the range of the spectral idempotent of
 the levels <= j, is the leading invariant subspace of the Schur form of A
-reordered to put those eigenvalues first: F_j = Z_1 Z_1*.  Each limit is a
-weighted sum of the increments F_j - F_{j-1}.
+reordered to put those eigenvalues first: F_j = Z_1 Z_1*, from the pass
+``decomp.ordered_schur`` that gives the cluster idempotents too.  Each limit
+is a weighted sum of the increments F_j - F_{j-1}.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .decomp import CLUSTER_TOL, DunfordDecomposition, cluster_means, reorder_schur, schur_form, single_linkage
-from .errors import IllConditioned, InvalidInput
+from .decomp import DunfordDecomposition, ordered_schur, schur_form
+from .errors import InvalidInput
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -37,47 +38,14 @@ class LimitOperator:
     spectrum_moduli: tuple
 
 
-def _level_resolution(dec: DunfordDecomposition, key) -> LevelResolution:
-    clusters = tuple((p.cluster.representative, p.cluster.multiplicity) for p in dec.idempotents)
-    return _resolution(dec.matrix, key, clusters)
-
-
-@linalg.matrix_memo(maxsize=8)
-def _resolution(a, key, clusters: tuple) -> LevelResolution:
-    """Resolution of A with the (representative, multiplicity) clusters.
-    Levels: the clustered keys of the representatives, ascending.  At each
-    cut between levels the Schur form is reordered to put the keys below it
-    first (``reorder_schur``, which refuses a small sep); the cut is also
-    refused if their count is not the multiplicity below it.  Membership
-    tests share this memo."""
-    t, z, scale = schur_form(a)
-    values = key(np.array([rep for rep, _ in clusters]))
-    groups = single_linkage(values.tolist(), CLUSTER_TOL * scale)
-    levels, groups = zip(*sorted(zip(cluster_means(values, groups).tolist(), groups)))
-    projections = []
-    rank = 0
-    for j, group in enumerate(groups[:-1]):
-        rank += sum(clusters[i][1] for i in group)
-        t, z, k = reorder_schur(t, z, key(t.diagonal()) <= 0.5 * (levels[j] + levels[j + 1]), scale)
-        if k != rank:
-            raise IllConditioned(
-                f"cut above level {j + 1} of {len(levels)} ({levels[j]:.6g}) refused: "
-                f"{k} Schur eigenvalues below it for multiplicity {rank}"
-            )
-        projections.append(z[:, :k] @ z[:, :k].conj().T)
-    # the top level covers everything: take the exact identity
-    projections.append(np.eye(a.shape[0], dtype=np.complex128))
-    return LevelResolution(levels=levels, projections=tuple(projections))
-
-
 def modulus_resolution(dec: DunfordDecomposition) -> LevelResolution:
     """F_j = R(e_A(D_{a_j})) over the clustered moduli a_1 < ... < a_k."""
-    return _level_resolution(dec, np.abs)
+    return LevelResolution(*ordered_schur(dec.matrix, np.abs)[2:])
 
 
 def halfplane_resolution(dec: DunfordDecomposition) -> LevelResolution:
     """G_j = R(e_A(H_{b_j})) over the clustered real parts b_1 < ... < b_l."""
-    return _level_resolution(dec, np.real)
+    return LevelResolution(*ordered_schur(dec.matrix, np.real)[2:])
 
 
 def _weighted_sum(res: LevelResolution, weight) -> LimitOperator:
@@ -88,15 +56,12 @@ def _weighted_sum(res: LevelResolution, weight) -> LimitOperator:
     for w, f in zip(weights, res.projections):
         k += w * (f - prev)
         prev = f
-    return LimitOperator(matrix=0.5 * (k + k.conj().T), spectrum_moduli=tuple(map(float, weights)))
+    # halved before the sum, which can overflow where K does not
+    return LimitOperator(matrix=0.5 * k + 0.5 * k.conj().T, spectrum_moduli=tuple(map(float, weights)))
 
 
 def limit_operator(res: LevelResolution) -> LimitOperator:
-    """Closed form of lim |A^n|^(1/n): K = sum_j a_j (F_j - F_{j-1}).
-
-    Refused when K leaves float range, as the mean modulus of a cluster near
-    the float maximum does: that limit cannot be computed unscaled.
-    """
+    """Closed form of lim |A^n|^(1/n): K = sum_j a_j (F_j - F_{j-1}), refused past float range."""
     k = _weighted_sum(res, float)
     if not np.isfinite(k.matrix).all():
         raise InvalidInput(f"the limit of top modulus {res.levels[-1]:.6g} leaves float range")
@@ -106,8 +71,8 @@ def limit_operator(res: LevelResolution) -> LimitOperator:
 def semigroup_limit(res: LevelResolution) -> LimitOperator:
     """Closed form of lim |exp(tA)|^(1/t): sum_j exp(b_j) (G_j - G_{j-1}).
 
-    Refused when twice exp(b) of the top level, which the symmetrization of
-    the weighted sum forms, leaves float range: that limit cannot be computed.
+    Refused when twice exp(b) of the top level leaves float range: that
+    margin keeps the weighted sum in range.
     """
     with np.errstate(over="ignore"):
         top = 2.0 * np.exp(res.levels[-1])
@@ -126,8 +91,8 @@ def _smallest_level(dec: DunfordDecomposition, key, x) -> float | None:
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return None
-    res = _level_resolution(dec, key)
-    for level, f in zip(res.levels, res.projections):
+    levels, projections = ordered_schur(dec.matrix, key)[2:]  # the resolution's memo
+    for level, f in zip(levels, projections):
         if np.linalg.norm(f @ x - x) <= MEMBERSHIP_TOL * nx:
             break
     return level

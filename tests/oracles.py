@@ -2,9 +2,10 @@
 
 Dense operator-inequality tools (the Loewner lemmas of the paper's proof are
 checked with them), literal matrix powers, binary powering of one n on its
-own, the range-projection form of the limit, the inverses of satk's writers,
-and the entry-by-entry forms of the matrix reader and the record converter
-that satk's whole-array ones must match to the bit.  None of them is on a
+own, the range-projection form of the limit, the Schur splits made one
+cluster and one level at a time, the inverses of satk's writers, and the
+entry-by-entry forms of the matrix reader and the record converter that
+satk's whole-array ones must match to the bit.  None of them is on a
 computing path of satk, so they live here and not in ``src/``.
 """
 
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from satk import linalg
+from satk import decomp, linalg
 from satk.errors import InvalidInput, ParseError
 from satk.mmio import MAX_DIM
 from satk.powerit import ScaledPower
@@ -205,6 +206,51 @@ def range_oracle(dec, key, weight):
         out += weight(level) * (f - prev)
         prev, below = f, top
     return out
+
+
+def single_linkage_per_pair(values, tol):
+    """``decomp.single_linkage`` one Python ``abs`` of a gap at a time."""
+    groups = []
+    for i, v in enumerate(values):
+        near = [g for g in groups if any(abs(v - values[j]) <= tol for j in g)]
+        groups = [g for g in groups if g not in near] + [sorted([i, *(j for g in near for j in g)])]
+    return groups
+
+
+def idempotent_per_cluster(a, cluster):
+    """The idempotent of ``cluster`` from a reorder of its own: the entries of
+    A's unordered Schur diagonal within ``CLUSTER_TOL * ||A||`` of its members
+    put first, one ztrsyl, and Z [[I, Y], [0, 0]] Z*."""
+    t, z, scale = decomp.schur_form(a)
+    gaps = np.abs(t.diagonal()[:, None] - np.array(cluster.members)[None, :])
+    select = gaps.min(axis=1) <= decomp.CLUSTER_TOL * scale
+    m, k = t.shape[0], int(np.count_nonzero(select))
+    if k == 0 or k == m:
+        return np.eye(m, dtype=np.complex128) if k else np.zeros((m, m), dtype=np.complex128)
+    t, z, k = decomp.reorder_schur(t, z, select, scale)
+    y, s, info = linalg.lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], "N", "N", -1)
+    assert info >= 0
+    w = np.eye(k, m, dtype=np.complex128)
+    w[:, k:] = y / s
+    return z[:, :k] @ w @ z.conj().T
+
+
+def level_cuts(a, key, clusters):
+    """(levels, F_j, clusters per level) with one reorder per level cut: the
+    entries of the Schur diagonal whose key is below the midpoint of two
+    levels put first, and F_j = Z_1 Z_1*."""
+    t, z, scale = decomp.schur_form(a)
+    values = key(np.array([c.representative for c in clusters]))
+    groups = decomp.single_linkage(values, decomp.CLUSTER_TOL * scale)
+    levels, groups = zip(*sorted(zip(decomp.cluster_means(values, groups).tolist(), groups)))
+    projections, rank = [], 0
+    for j, group in enumerate(groups[:-1]):
+        rank += sum(clusters[i].multiplicity for i in group)
+        t, z, k = decomp.reorder_schur(t, z, key(t.diagonal()) <= 0.5 * (levels[j] + levels[j + 1]), scale)
+        assert k == rank
+        projections.append(z[:, :k] @ z[:, :k].conj().T)
+    projections.append(np.eye(a.shape[0], dtype=np.complex128))
+    return levels, projections, [len(g) for g in groups]
 
 
 def read_error_csv(path):

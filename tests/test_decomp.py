@@ -8,13 +8,20 @@ from satk.errors import IllConditioned, InvalidInput
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import modulus_resolution
 
-from conftest import clear_memos, random_complex, similar_jordan
+from conftest import clear_memos, dt_like, random_complex, similar_jordan
+from oracles import idempotent_per_cluster, level_cuts
 
 
 def test_eigen_clusters_merges_close_values():
     a = np.diag([1.0, 1.0 + 1e-9, 3.0]).astype(complex)
     clusters = decomp.eigen_clusters(a)
     assert sorted(c.multiplicity for c in clusters) == [1, 2]
+
+
+def test_eigen_clusters_count_an_overflowing_gap_as_apart():
+    # ||A|| is finite, |z - (-z)| is not: the gap is inf, not an OverflowError
+    z = 0.65e308 * (1 + 1j)
+    assert [c.members for c in decomp.eigen_clusters(np.diag([z, -z]))] == [(-z,), (z,)]
 
 
 def test_eigen_clusters_sorted_and_separated(rng):
@@ -174,3 +181,41 @@ def test_cluster_means_are_numpy_means_to_the_bit(entries, real):
 def test_cluster_means_refuses_a_mean_past_float_range():
     with pytest.raises(InvalidInput, match="the mean of the 2 clustered values near 1.5e\\+308 leaves float range"):
         decomp.cluster_means(np.array([1.0, 1.5e308, 1e308]), [[0], [1, 2]])
+
+
+def _ordered_pass_cases():
+    """(A, tol): the acceptance family, and nearly equal moduli with
+    idempotent norms up to 1e9.  At m = 32 the two constructions of an
+    idempotent differ by up to 1.2e-11 ||P||, while both are 6.5e-9 to
+    1.9e-7 ||P|| from a 50-digit mpmath reference: the error of the shared
+    Schur form, which neither cut order changes."""
+    for i in range(200):
+        yield generate_instance(20000 + i, InstanceSpec(dim=2 + i % 7)).matrix, 1e-13
+    for m, tol in ((16, 1e-13), (32, 1e-10)):
+        for seed in (1, 2, 3, 5):
+            yield dt_like(seed, m), tol
+
+
+def test_ordered_pass_idempotents_match_one_reorder_per_cluster():
+    # the prefix differences of the one pass are the idempotents each
+    # cluster's own reorder of the unordered Schur form gives
+    for a, tol in _ordered_pass_cases():
+        clusters, idempotents, _, _ = decomp.ordered_schur(a, np.abs)
+        for cluster, p in zip(clusters, idempotents):
+            want = idempotent_per_cluster(a, cluster)
+            assert linalg.norm2(p - want) <= tol * max(1.0, linalg.norm2(want))
+
+
+def test_ordered_pass_keeps_the_level_cuts_before_a_shared_level():
+    # up to the first level of two or more clusters the pass makes the cuts
+    # of one reorder per level, so those F_j keep every byte
+    shared = 0
+    for a, _ in _ordered_pass_cases():
+        clusters, _, levels, projections = decomp.ordered_schur(a, np.abs)
+        want_levels, want, sizes = level_cuts(a, np.abs, clusters)
+        assert levels == want_levels
+        first = next((j for j, size in enumerate(sizes) if size > 1), len(sizes))
+        shared += first < len(sizes)
+        assert [f.tobytes() for f in projections[:first]] == [f.tobytes() for f in want[:first]]
+        assert all(linalg.norm2(f - g) <= 1e-13 for f, g in zip(projections[first:], want[first:]))
+    assert shared > 0  # the family has levels shared by two clusters

@@ -312,7 +312,7 @@ def test_clear_memos_empties_every_memo():
     numeric = (
         "satk.decomp.schur_form",
         "satk.decomp.dunford",
-        "satk.resolution._resolution",
+        "satk.decomp.ordered_schur",
         "satk.powerit._power_roots",
         "satk.powerit._flag_run",
     )
@@ -337,6 +337,61 @@ def test_cli_decompose_and_limit_share_one_dunford(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert _fresh_process_main(["limit", "--input", str(src), "--out", str(fresh)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_cli_decompose_and_limit_cut_once_per_cluster_boundary(tmp_path, monkeypatch):
+    # three clusters, two of them on one modulus level: decompose makes the
+    # one ordered pass, with a ztrsen and a ztrsyl at each of its two cluster
+    # boundaries, and limit reads its level projections
+    src = tmp_path / "a.json"
+    t = np.array([[1, 1, 0, 0], [0, 1, 0.5, 0], [0, 0, 2j, 0.3], [0, 0, 0, -2]])
+    src.write_text(json.dumps(matrix_to_json(t)))
+    calls = []
+    for name in ("ztrsen", "ztrsyl"):
+        routine = getattr(decomp.lapack, name)
+        monkeypatch.setattr(decomp.lapack, name, lambda *a, r=routine, n=name: calls.append(n) or r(*a))
+    clear_memos()
+    assert main(["decompose", "--input", str(src), "--out", str(tmp_path / "dec.json")]) == 0
+    assert main(["limit", "--input", str(src), "--out", str(tmp_path / "lim.json")]) == 0
+    assert json.loads((tmp_path / "dec.json").read_text())["results"]["multiplicities"] == [1, 1, 2]
+    assert sorted(calls) == ["ztrsen", "ztrsen", "ztrsyl", "ztrsyl"]
+
+
+def test_cli_limit_at_the_float_maximum_is_exact_and_quiet(tmp_path):
+    # the midpoint of the levels 1e308 and 1.7e308 once overflowed, and the
+    # cut above the first was refused; K is exact, and a new process (no
+    # warning filter of the suite) prints nothing
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(json.dumps(matrix_to_json(np.diag([1e308, 1.7e308]))))
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    argv = [sys.executable, "-m", "satk.cli", "limit", "--input", str(src), "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    rec = json.loads(out.read_text())
+    assert rec["results"]["limit_matrix"] == [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.7e308, 0.0]]]
+    for command in ("vector-exponent", "semigroup"):
+        _, rec = _cli_run(tmp_path, np.diag([1e308, 1.7e308]), command)
+        assert "IllConditioned" not in [e["type"] for e in rec["errors"]]
+
+
+@pytest.mark.parametrize("command", ["limit", "decompose", "vector-exponent", "semigroup"])
+def test_cli_refuses_a_norm_past_float_range(tmp_path, command):
+    # |1.5e308 (1 + i)| is past float range though both parts are finite: the
+    # Schur form refuses ||A|| by name, where a bare OverflowError was recorded
+    code, rec = _cli_run(tmp_path, np.diag([1.5e308 * (1 + 1j), 1.0]), command)
+    assert code == 1
+    assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", command)]
+    assert rec["errors"][0]["message"] == "the spectral norm ||A|| = nan leaves float range"
+
+
+@pytest.mark.parametrize("command", ["limit", "decompose", "vector-exponent", "semigroup"])
+def test_cli_records_no_overflow_of_an_eigenvalue_gap(tmp_path, command):
+    # ||A|| is finite but |z - (-z)| is not: the clustering counts the gap as
+    # apart instead of raising OverflowError
+    z = 0.65e308 * (1 + 1j)
+    code, rec = _cli_run(tmp_path, np.diag([z, -z]), command)
+    assert code == 1
+    assert "OverflowError" not in [e["type"] for e in rec["errors"]]
 
 
 @pytest.mark.parametrize(

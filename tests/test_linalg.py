@@ -109,10 +109,10 @@ def _memo_cases():
         id="dunford",
     )
     yield pytest.param(
-        resolution._resolution,
+        decomp.ordered_schur,
         lambda a: resolution.modulus_resolution(decomp.dunford(a)),
-        lambda a: [*resolution.modulus_resolution(decomp.dunford(a)).projections],
-        id="resolution",
+        lambda a: [x for part in decomp.ordered_schur(a, np.abs)[1::2] for x in part],
+        id="ordered_schur",
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satk import linalg, resolution
+from satk import decomp, linalg
 from satk.decomp import dunford, single_linkage
 from satk.errors import InvalidInput
 from satk.instances import InstanceSpec, generate_instance
@@ -16,7 +16,7 @@ from satk.resolution import (
 )
 
 from conftest import clear_memos, dt_like, random_complex, random_projection
-from oracles import range_oracle
+from oracles import range_oracle, single_linkage_per_pair
 
 
 @pytest.mark.parametrize("key", [np.abs, np.real], ids=["modulus", "real-part"])
@@ -33,6 +33,16 @@ def test_cluster_values_groups_gaps():
     vals = np.array([0.0, 1.0, 1.05, 3.0])
     groups = single_linkage(vals, 0.1)
     assert sorted(groups) == [[0], [1, 2], [3]]
+
+
+def test_single_linkage_matches_the_gap_by_gap_loop():
+    # one array of gaps against one Python abs per gap: the same groups
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 7, 40):
+        for values in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            for tol in (1e-3, 0.1, 0.5):
+                groups = single_linkage(values, tol)
+                assert groups == sorted(groups) == sorted(single_linkage_per_pair(values.tolist(), tol))
 
 
 def _resolved_matrices():
@@ -125,7 +135,7 @@ def test_vector_exponent_exact_reads_the_modulus_resolution():
     dec = dunford(a)
     levels = modulus_resolution(dec).levels
     assert vector_exponent_exact(dec, np.ones(5)) in levels
-    assert resolution._resolution.cache_info().misses == 1
+    assert decomp.ordered_schur.cache_info().misses == 1
 
 
 def test_vector_exponent_exact_zero_vector():
