@@ -115,14 +115,18 @@ def single_linkage(values, tol: float) -> list[list[int]]:
 
 def cluster_means(values, groups) -> np.ndarray:
     """``np.mean`` of ``values`` (a real or complex array) over each index
-    group, to the bit; InvalidInput when a mean leaves float range."""
+    group, to the bit where its sum stays in float range; InvalidInput when a
+    mean leaves float range."""
     # np.mean is its sum divided by the count.  The sum starts from +0, so a
-    # singleton's mean is its value plus +0.
+    # singleton's mean is its value plus +0.  Where the sum overflows, each
+    # member is divided by the count first.
     means = values[[g[0] for g in groups]] + 0
     for n, g in enumerate(groups):
         if len(g) > 1:
             with np.errstate(over="ignore", invalid="ignore"):
                 means[n] = np.add.reduce(values[g]) / len(g)
+                if not np.isfinite(means[n]):
+                    means[n] = np.add.reduce(values[g] / len(g))
     if not np.isfinite(means).all():
         g = groups[int(np.argmin(np.isfinite(means)))]
         raise InvalidInput(

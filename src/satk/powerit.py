@@ -183,40 +183,41 @@ def _flag_run(a, ns: tuple):
     are the per-step growth factors exp(log|T_jj| / window) over the final
     quarter of the first n steps, after the flag has aligned, so they are free
     of the alignment transient.  The run steps by blocks of a^k (k from
-    ``_block_power``) and reaches each read-out point p from the block at
-    k * (p // k) with p % k single steps of a, so a read-out at n does not
-    depend on the other entries of ns.  The estimators called on one (a, n)
-    share a run through this memo.  A run past _MAX_STEPS is refused before
-    anything is allocated.
+    ``_block_power``) into one diagonal buffer and reaches each read-out point
+    p (an n or a window start) from the block at k * (p // k) with p % k
+    single steps of a, so a read-out at n does not depend on the other entries
+    of ns.  The blocks stop only where a Q is read, at each n and each p off
+    the blocks, and every n is read out in one array pass.  The estimators
+    called on one (a, n) share a run through this memo.  A run past
+    _MAX_STEPS is refused before anything is allocated.
     """
     if max(ns) > _MAX_STEPS:
         raise InvalidInput(f"n = {max(ns)} is more than {_MAX_STEPS} flag steps")
     m = a.shape[0]
     k, ak = _block_power(a)
-    points = sorted(set(ns) | {n - max(1, n // 4) for n in ns})
-    trunk = np.empty((points[-1] // k, m), dtype=np.complex128)
-    q, done, branches = np.eye(m, dtype=np.complex128), 0, {}
-    for p in points:
-        q = _flag_steps(ak, q, trunk[done : p // k])
-        done = p // k
-        steps = np.empty((p % k, m), dtype=np.complex128)
-        branches[p] = _flag_steps(a, q, steps) if p % k else q, steps
+    windows = [max(1, n // 4) for n in ns]
+    starts = [n - w for n, w in zip(ns, windows)]
+    trunk = np.empty((max(ns) // k, m), dtype=np.complex128)
+    q, done, qs = np.eye(m, dtype=np.complex128), 0, {}
+    for b in sorted({n // k for n in ns} | {p // k for p in starts if p % k}):
+        q = qs[b] = _flag_steps(ak, q, trunk[done:b])
+        done = b
     at = {}
     with np.errstate(divide="ignore"):
         trunk_logs = _log_sums(np.zeros(m), trunk)  # row b: the logs after b blocks
-        for p, (q, steps) in branches.items():
-            logs = trunk_logs[p // k]
-            at[p] = q, _log_sums(logs, steps)[-1] if p % k else logs
-    out = []
-    for n in ns:
-        q, logs = at[n]
-        window = max(1, n // 4)
-        with np.errstate(invalid="ignore"):
-            tail = logs - at[n - window][1]
-            tail[np.isneginf(logs)] = -np.inf
-            levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
-        out.append((q, np.nan_to_num(levels, nan=0.0, posinf=0.0)))
-    return tuple(out)
+        for p in set(ns) | set(starts):
+            q, logs = qs.get(p // k), trunk_logs[p // k]
+            if p % k:
+                steps = np.empty((p % k, m), dtype=np.complex128)
+                q, logs = _flag_steps(a, q, steps), _log_sums(logs, steps)[-1]
+            at[p] = q, logs
+    ends = np.array([at[n][1] for n in ns])
+    with np.errstate(invalid="ignore"):
+        tail = ends - np.array([at[p][1] for p in starts])
+    tail[np.isneginf(ends) | ~np.isfinite(tail)] = -np.inf  # dead, nan and +inf tails
+    levels = np.exp(tail / np.array(windows)[:, None])
+    levels[~np.isfinite(levels)] = 0.0
+    return tuple((at[n][0], row) for n, row in zip(ns, levels))
 
 
 @linalg.matrix_memo(maxsize=64)
@@ -247,9 +248,9 @@ def _power_roots(a, ns: tuple):
 
 
 def _rebuild(v, roots):
-    """V diag(roots) V*, made exactly hermitian."""
-    out = (v * roots) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    """V diag(roots) V*, made exactly hermitian; on stacks of V and roots, one per pair."""
+    out = (v * roots[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def normalized_power(a, n: int) -> np.ndarray:
@@ -319,7 +320,8 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
 
     One ``_power_roots`` call over the whole schedule: each n takes the path
     ``normalized_power`` takes, and the n on the flag path are all read from
-    one flag run to the largest of them.
+    one flag run to the largest of them.  Every |A^n|^(1/n) is rebuilt in one
+    stacked product, and each error is one spectral norm.
     """
     schedule = [positive_int(n) for n in schedule]
     if not schedule or any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
@@ -328,6 +330,5 @@ def convergence_study(a, schedule, limit_matrix) -> ConvergenceReport:
     k = np.asarray(limit_matrix, dtype=np.complex128)
     if k.shape != a.shape or not np.isfinite(k).all():
         raise InvalidInput(f"limit_matrix must be a finite {a.shape} matrix, got shape {k.shape}")
-    powers = _power_roots(a, tuple(schedule))
-    errors = [float(linalg.norm2(_rebuild(v, roots) - k)) for v, roots in powers]
-    return ConvergenceReport(errors=tuple(errors))
+    v, roots = (np.stack(x) for x in zip(*_power_roots(a, tuple(schedule))))
+    return ConvergenceReport(errors=tuple(float(linalg.norm2(x)) for x in _rebuild(v, roots) - k))

@@ -2,7 +2,8 @@
 
 Dense operator-inequality tools (the Loewner lemmas of the paper's proof are
 checked with them), literal matrix powers, binary powering of one n on its
-own, the range-projection form of the limit, the Schur splits made one
+own, a flag run stopped at every read-out point and read out one n at a
+time, the range-projection form of the limit, the Schur splits made one
 cluster and one level at a time, the inverses of satk's writers, and the
 entry-by-entry forms of the matrix reader and the record converter that
 satk's whole-array ones must match to the bit.  None of them is on a
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from satk import decomp, linalg
+from satk import decomp, linalg, powerit
 from satk.errors import InvalidInput, ParseError
 from satk.mmio import MAX_DIM
 from satk.powerit import ScaledPower
@@ -168,6 +169,44 @@ def scaled_matrix(sp) -> np.ndarray:
     if sp.is_zero:
         return np.zeros_like(sp.unit)
     return np.exp(sp.log_scale) * sp.unit
+
+
+def tail_levels(at, ns):
+    """levels exp(tail / window) at each n in ns, one n at a time, from the
+    logs at[p] after p steps: a dead direction's tail (-inf logs at n), nan
+    and +inf go to -inf, and a non-finite level to 0."""
+    out = []
+    for n in ns:
+        window = max(1, n // 4)
+        with np.errstate(invalid="ignore"):
+            tail = at[n] - at[n - window]
+            tail[np.isneginf(at[n])] = -np.inf
+            levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
+        out.append(np.nan_to_num(levels, nan=0.0, posinf=0.0))
+    return out
+
+
+def flag_run_per_point(a, ns):
+    """``powerit._flag_run`` with its block trunk stopped at every read-out
+    point and window start p, each p branching p % k single steps of a off
+    its block, and each n read out on its own (``tail_levels``)."""
+    m = a.shape[0]
+    k, ak = powerit._block_power(a)
+    points = sorted(set(ns) | {n - max(1, n // 4) for n in ns})
+    trunk = np.empty((points[-1] // k, m), dtype=np.complex128)
+    q, done, branches = np.eye(m, dtype=np.complex128), 0, {}
+    for p in points:
+        q = powerit._flag_steps(ak, q, trunk[done : p // k])
+        done = p // k
+        steps = np.empty((p % k, m), dtype=np.complex128)
+        branches[p] = powerit._flag_steps(a, q, steps) if p % k else q, steps
+    qs, logs = {}, {}
+    with np.errstate(divide="ignore"):
+        trunk_logs = powerit._log_sums(np.zeros(m), trunk)
+        for p, (q, steps) in branches.items():
+            qs[p] = q
+            logs[p] = powerit._log_sums(trunk_logs[p // k], steps)[-1] if p % k else trunk_logs[p // k]
+    return [(qs[n], levels) for n, levels in zip(ns, tail_levels(logs, ns))]
 
 
 def truncate_forward(w, m: int) -> np.ndarray:

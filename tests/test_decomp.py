@@ -179,8 +179,12 @@ def test_cluster_means_are_numpy_means_to_the_bit(entries, real):
 
 
 def test_cluster_means_refuses_a_mean_past_float_range():
-    with pytest.raises(InvalidInput, match="the mean of the 2 clustered values near 1.5e\\+308 leaves float range"):
-        decomp.cluster_means(np.array([1.0, 1.5e308, 1e308]), [[0], [1, 2]])
+    # a sum past float range is not a mean past it: the members are divided
+    # by the count first; only a non-finite member leaves the mean out of range
+    means = decomp.cluster_means(np.array([1.0, 1.5e308, 1e308]), [[0], [1, 2]])
+    assert means.tolist() == [1.0, 1.25e308]
+    with pytest.raises(InvalidInput, match="the mean of the 2 clustered values near inf leaves float range"):
+        decomp.cluster_means(np.array([1.0, np.inf, 1e308]), [[0], [1, 2]])
 
 
 def _ordered_pass_cases():

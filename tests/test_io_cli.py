@@ -197,12 +197,16 @@ def test_cli_semigroup_records_overflowing_limit(tmp_path):
     assert "float range" in rec["errors"][0]["message"]
 
 
+# |1.5e308 (1 + i)| = 2.1e308: a modulus past float range though both parts are finite
+_PAST_RANGE = 1.5e308 * (1 + 1j)
+
+
 @pytest.mark.parametrize(
-    "a", [np.diag([1e308, 1e308]), np.array([[1.5e308, 1e308], [0.0, 1e308]])], ids=["diag", "upper"]
+    "a", [np.diag([_PAST_RANGE, _PAST_RANGE]), np.array([[1.5e308, 1e308], [0.0, 1e308]])], ids=["diag", "upper"]
 )
 def test_cli_limit_records_overflowing_limit(tmp_path, a):
-    # the mean of the one cluster overflows: a recorded refusal, not
-    # moduli ["inf"] and a "nan" K with exit 0, and no warning
+    # a level past float range: a recorded refusal, not moduli ["inf"] and a
+    # "nan" K with exit 0, and no warning
     code, rec = _cli_run(tmp_path, a)
     assert code == 1
     assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "limit")]
@@ -210,19 +214,19 @@ def test_cli_limit_records_overflowing_limit(tmp_path, a):
 
 
 def test_cli_decompose_refuses_overflowing_representative(tmp_path):
-    # the mean of the one cluster overflows: a recorded refusal, not
-    # numpy's warnings and "LinAlgError: SVD did not converge"
-    code, rec = _cli_run(tmp_path, np.diag([1e308, 1e308]), "decompose")
+    # a representative whose modulus leaves float range: a recorded refusal,
+    # not numpy's warnings and "LinAlgError: SVD did not converge"
+    code, rec = _cli_run(tmp_path, np.diag([_PAST_RANGE, _PAST_RANGE]), "decompose")
     assert code == 1
     assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", "decompose")]
-    assert rec["errors"][0]["message"] == "the mean of the 2 clustered values near 1e+308+0j leaves float range"
+    assert rec["errors"][0]["message"] == "the spectral norm ||A|| = nan leaves float range"
 
 
 @pytest.mark.parametrize("command", ["decompose", "limit"])
 def test_cli_overflowing_representative_prints_nothing(tmp_path, command):
     # a new process, so no warning filter of the suite hides or raises one
     src, out = tmp_path / "a.json", tmp_path / "rec.json"
-    src.write_text(json.dumps(matrix_to_json(np.diag([1e308, 1e308]))))
+    src.write_text(json.dumps(matrix_to_json(np.diag([_PAST_RANGE, _PAST_RANGE]))))
     env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
     argv = [sys.executable, "-m", "satk.cli", command, "--input", str(src), "--out", str(out)]
     run = subprocess.run(argv, env=env, capture_output=True, text=True)
@@ -390,8 +394,40 @@ def test_cli_records_no_overflow_of_an_eigenvalue_gap(tmp_path, command):
     # apart instead of raising OverflowError
     z = 0.65e308 * (1 + 1j)
     code, rec = _cli_run(tmp_path, np.diag([z, -z]), command)
-    assert code == 1
+    assert code == (0 if command == "limit" else 1)
     assert "OverflowError" not in [e["type"] for e in rec["errors"]]
+
+
+@pytest.mark.parametrize(
+    "z, w", [(0.65e308 * (1 + 1j), -0.65e308 * (1 + 1j)), (1e308, 1e308)], ids=["z-and-minus-z", "1e308"]
+)
+def test_cli_limit_of_a_level_whose_sum_overflows(tmp_path, z, w):
+    # the two moduli sum past float range, but their mean |z| does not:
+    # K = |z| I, where the level's mean was refused
+    code, rec = _cli_run(tmp_path, np.diag([z, w]), "limit")
+    assert (code, rec["errors"]) == (0, [])
+    assert rec["results"]["moduli"] == [abs(z)]
+    assert rec["results"]["limit_matrix"] == [[[abs(z), 0.0], [0.0, 0.0]], [[0.0, 0.0], [abs(z), 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(1e200 * np.array([[1.0, 1.0], [0.0, 0.5]]), id="1e200"),
+        pytest.param(np.diag([0.65e308 * (1 + 1j), -0.65e308 * (1 + 1j)]), id="z-and-minus-z"),
+    ],
+)
+def test_cli_decompose_prints_nothing_on_an_overflowing_check(tmp_path, a):
+    # the commutation product leaves float range: the record says so, and a
+    # new process (no warning filter of the suite) prints nothing
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(json.dumps(matrix_to_json(a)))
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    argv = [sys.executable, "-m", "satk.cli", "decompose", "--input", str(src), "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", "")
+    rec = json.loads(out.read_text())
+    assert [(e["type"], e["message"]) for e in rec["errors"]] == [("LinAlgError", "SVD did not converge")]
 
 
 @pytest.mark.parametrize(
@@ -661,17 +697,21 @@ def test_cli_vector_exponent_refuses_vectors_that_are_no_list_of_vectors(tmp_pat
 
 
 @pytest.mark.parametrize(
-    "command, level", [("vector-exponent", 1e308), ("semigroup", -1e308)], ids=["modulus", "real-part"]
+    "command, eigenvalue, message",
+    [
+        ("vector-exponent", _PAST_RANGE, "the spectral norm ||A|| = nan leaves float range"),
+        ("semigroup", 1e308, "exp of the top real part 1e+308 leaves float range"),
+    ],
+    ids=["modulus", "real-part"],
 )
-def test_cli_refuses_vector_level_past_float_range(tmp_path, command, level):
-    # the mean of the one cluster overflows: vector-exponent once recorded
-    # exact ["inf", "inf"] rather than a refusal; now the cluster's
-    # representative is refused, with no warning
-    code, rec = _cli_run(tmp_path, np.diag([level, level]), command)
+def test_cli_refuses_vector_level_past_float_range(tmp_path, command, eigenvalue, message):
+    # the level |z| of vector-exponent, or the rate exp(Re z) of semigroup,
+    # leaves float range: vector-exponent once recorded exact ["inf", "inf"]
+    # rather than a refusal; now it is refused, with no warning
+    code, rec = _cli_run(tmp_path, np.diag([eigenvalue, eigenvalue]), command)
     assert code == 1
     assert [(e["type"], e["context"]) for e in rec["errors"]] == [("InvalidInput", command)]
-    near = complex(level, 0.0)
-    assert rec["errors"][0]["message"] == f"the mean of the 2 clustered values near {near:.6g} leaves float range"
+    assert rec["errors"][0]["message"] == message
 
 
 def test_cli_vector_exponent_of_a_subnormal_level(tmp_path, capsys):

@@ -14,10 +14,12 @@ from conftest import clear_memos, dt_like, random_complex, random_invertible
 from oracles import (
     abs_op,
     brute_force_power,
+    flag_run_per_point,
     loewner_leq,
     psd_power,
     scaled_matrix,
     scaled_power_per_n,
+    tail_levels,
 )
 
 FIXTURE = np.array([[1, 1], [0, 2]], dtype=complex)
@@ -167,14 +169,8 @@ def _reference_flag_run(a, ns, k):
                     for _ in range(p - trunk):
                         at[p] = step(a, *at[p])
             q, logs = step(ak, q, logs)
-        out = {}
-        for n in ns:
-            window = max(1, n // 4)
-            tail = at[n][1] - at[n - window][1]
-            tail[np.isneginf(at[n][1])] = -np.inf
-            levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
-            out[n] = at[n][0], np.nan_to_num(levels, nan=0.0, posinf=0.0)
-    return out
+    levels = tail_levels({p: logs for p, (_, logs) in at.items()}, ns)
+    return {n: (at[n][0], lv) for n, lv in zip(ns, levels)}
 
 
 def _flag_kernel_cases():
@@ -240,6 +236,30 @@ def test_flag_run_matches_numpy_qr_reference(kind, a, ns, case):
         assert levels.min() == 0.0 < levels.max()
     elif kind == "nilpotent":
         assert levels.max() == 0.0
+
+
+@pytest.mark.parametrize("ns", [(8, 16, 32, 64, 100, 200), (3,), (5, 9, 4096)])
+@pytest.mark.parametrize("kind, a", list(_flag_kernel_cases()))
+def test_flag_run_matches_the_per_point_read_out(kind, a, ns):
+    # the trunk stopped only where a Q is read, and every n read out in one
+    # pass, give the bytes of stopping at every point and reading each n on
+    # its own; most of these window starts are off the blocks
+    for (q, levels), (want_q, want_levels) in zip(powerit._flag_run(a, ns), flag_run_per_point(a, ns), strict=True):
+        assert q.tobytes() == want_q.tobytes()
+        assert levels.tobytes() == want_levels.tobytes()
+
+
+def test_schedule_flag_run_stops_only_where_q_is_read(monkeypatch):
+    # the schedule's flag path is n = 128 ... 4096 in blocks of 8: one stretch
+    # of blocks to each n, none to its window start 3n / 4 (a whole block)
+    a = generate_instance(5, InstanceSpec(dim=5)).matrix
+    k = limit_operator(modulus_resolution(dunford(a))).matrix
+    assert powerit._block_power(a.conj().T)[0] == 8
+    steps, calls = powerit._flag_steps, []
+    monkeypatch.setattr(powerit, "_flag_steps", lambda *args: calls.append(len(args[2])) or steps(*args))
+    clear_memos()
+    powerit.convergence_study(a, SCHEDULE, k)
+    assert calls == [16, 16, 32, 64, 128, 256]  # blocks per stretch
 
 
 def test_flag_steps_keep_f2py_default_lwork():
