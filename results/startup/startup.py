@@ -1,17 +1,18 @@
-"""Wall time of each satk CLI command in fresh processes, parent and change alternating.
+"""Wall time and peak RSS of each satk CLI command in fresh processes, parent and change alternating.
 
     python3 results/startup/startup.py PARENT_DIR CHANGE_DIR OUT.json [ROUNDS]
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits.  Each round
 runs every command once per checkout, each run a new process
 (``python -m satk.cli COMMAND ...`` with the checkout's ``src`` as
-``PYTHONPATH`` and OpenBLAS at one thread), timed from launch to exit; the
-checkout that goes first alternates from round to round.  ``import`` is a
+``PYTHONPATH`` and OpenBLAS at one thread), timed from launch to exit, its
+peak resident set read from the kernel's ``ru_maxrss`` of that one child
+(``os.wait4``); the checkout that goes first alternates from round to round.  ``import`` is a
 process that only runs ``import satk, satk.cli``; one untimed ``import``
 per checkout comes first, so no timed run compiles bytecode.  OUT gets the
-machine (core count, BLAS, Python, numpy and scipy versions), every time
-and exit status and, per command and side, the median and quartiles; the
-medians are also printed as a Markdown table.
+machine (core count, BLAS, Python, numpy and scipy versions), every time,
+peak RSS and exit status and, per command and side, the median and
+quartiles of both; the medians are also printed as a Markdown table.
 """
 
 import json
@@ -56,13 +57,16 @@ def environment() -> dict:
 
 
 def run(checkout: Path, argv: list, out: Path) -> tuple:
-    """(seconds from launch to exit, exit status) of one fresh process."""
+    """(seconds from launch to exit, peak RSS in MB, exit status) of one fresh process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     if argv[0] == "-m":
         argv = [*argv, "--out", str(out)]
     start = time.perf_counter()
-    status = subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL).returncode
-    return time.perf_counter() - start, status
+    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL)
+    _, wait_status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(wait_status)  # reaped here, not by Popen
+    return seconds, usage.ru_maxrss / 1024.0, proc.returncode  # ru_maxrss is in KiB on Linux
 
 
 def summary(values: list) -> dict:
@@ -73,6 +77,7 @@ def summary(values: list) -> dict:
 def main(parent: str, change: str, out: str, rounds: int = ROUNDS):
     sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
     times = {side: {name: [] for name, _ in COMMANDS} for side in sides}
+    rss = {side: {name: [] for name, _ in COMMANDS} for side in sides}
     statuses = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         for checkout in sides.values():  # untimed: writes each checkout's bytecode caches
@@ -81,8 +86,9 @@ def main(parent: str, change: str, out: str, rounds: int = ROUNDS):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, argv in COMMANDS:
                 for side in order:
-                    seconds, status = run(sides[side], argv, Path(tmp) / "rec.json")
+                    seconds, peak, status = run(sides[side], argv, Path(tmp) / "rec.json")
                     times[side][name].append(seconds)
+                    rss[side][name].append(peak)
                     statuses[side].setdefault(name, set()).add(status)
     report = {
         "env": environment(),
@@ -90,17 +96,23 @@ def main(parent: str, change: str, out: str, rounds: int = ROUNDS):
         "commands": {name: " ".join(argv) for name, argv in COMMANDS},
         "exit_status": {side: {k: sorted(v) for k, v in s.items()} for side, s in statuses.items()},
         "seconds": times,
+        "peak_rss_mb": rss,
         "summary": {side: {name: summary(v) for name, v in t.items()} for side, t in times.items()},
+        "rss_summary": {side: {name: summary(v) for name, v in r.items()} for side, r in rss.items()},
     }
     Path(out).write_text(json.dumps(report, indent=1) + "\n")
-    print("| command | parent (s) | change (s) | change / parent |")
-    print("| --- | --- | --- | --- |")
+    print("| command | parent (s) | change (s) | change / parent | parent (MB) | change (MB) | change / parent |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     for name, _ in COMMANDS:
-        p, c = (report["summary"][side][name] for side in ("parent", "change"))
-        print(
-            f"| `{name}` | {p['median']:.3f} [{p['q1']:.3f}, {p['q3']:.3f}] "
-            f"| {c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}] | {c['median'] / p['median']:.3f} |"
-        )
+        cells = []
+        for key, digits in (("summary", 3), ("rss_summary", 1)):
+            p, c = (report[key][side][name] for side in ("parent", "change"))
+            cells += [
+                f"{p['median']:.{digits}f} [{p['q1']:.{digits}f}, {p['q3']:.{digits}f}]",
+                f"{c['median']:.{digits}f} [{c['q1']:.{digits}f}, {c['q3']:.{digits}f}]",
+                f"{c['median'] / p['median']:.3f}",
+            ]
+        print(f"| `{name}` | " + " | ".join(cells) + " |")
 
 
 if __name__ == "__main__":

@@ -94,6 +94,18 @@ def _sorted_moduli(a):
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
 
 
+def _relative(tol, moduli):
+    """tol times rho(A), the largest of ``moduli``; tol itself where rho(A) = 0.
+    The estimators' answers scale with rho(A), so an absolute check would pass
+    any answer at small scale and fail rounding at large scale."""
+    return tol * moduli[0] if moduli[0] > 0.0 else tol
+
+
+def _residual(x) -> float:
+    """||x||_2, or inf where x has left float range (its SVD would not converge)."""
+    return linalg.norm2(x) if np.isfinite(x).all() else math.inf
+
+
 def _cmd_decompose(record, config, tol=1e-8, instance=None):
     a = _acquire(config, instance)
     dec = dunford(a)
@@ -106,14 +118,14 @@ def _cmd_decompose(record, config, tol=1e-8, instance=None):
     tol *= scale
     # a product past float range fails its check in the record, not on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        record.add_check("reconstruction", linalg.norm2(d + n - a), tol)
+        record.add_check("reconstruction", _residual(d + n - a), tol)
         record.add_check(
             "idempotency",
-            max(linalg.norm2(p.matrix @ p.matrix - p.matrix) for p in dec.idempotents),
+            max(_residual(p.matrix @ p.matrix - p.matrix) for p in dec.idempotents),
             tol,
         )
-        record.add_check("commutation", linalg.norm2(d @ n - n @ d), tol)
-        record.add_check("nilpotency", linalg.norm2(np.linalg.matrix_power(n, m)), tol)
+        record.add_check("commutation", _residual(d @ n - n @ d), tol)
+        record.add_check("nilpotency", _residual(np.linalg.matrix_power(n, m)), tol)
     record.results["eigenvalues"] = [p.cluster.representative for p in dec.idempotents]
     record.results["multiplicities"] = [p.cluster.multiplicity for p in dec.idempotents]
     record.results["condition_bound"] = dec.condition_bound
@@ -132,6 +144,7 @@ def _cmd_iterate(record, config, schedule=_DEFAULT_SCHEDULE, tol=1e-3, instance=
     a = _acquire(config, instance)
     k = limit_operator(modulus_resolution(dunford(a)))
     report = convergence_study(a, schedule, k.matrix)
+    tol = _relative(tol, _sorted_moduli(a))
     record.add_check("final_error", report.errors[-1], tol)
     record.results["schedule"] = schedule
     record.results["errors"] = list(report.errors)
@@ -141,6 +154,7 @@ def _cmd_yamamoto(record, config, n=4096, tol=1e-3, instance=None):
     a = _acquire(config, instance)
     vals = yamamoto_limits(a, n)
     expected = _sorted_moduli(a)
+    tol = _relative(tol, expected)
     record.add_check("max_deviation", float(np.max(np.abs(vals - expected))), tol)
     record.results["limits"] = vals
     record.results["expected"] = expected
@@ -162,6 +176,7 @@ def _cmd_vector_exponent(record, config, n=4096, tol=1e-3, vectors=None, instanc
         xs = np.eye(m, dtype=np.complex128)
     exact = np.array([vector_exponent_exact(dec, xs[:, j]) for j in range(xs.shape[1])])
     est = vector_exponent_estimates(a, xs, n)
+    tol = _relative(tol, _sorted_moduli(a))
     record.add_check("max_deviation", float(np.max(np.abs(est - exact))), tol)
     record.results["exact"] = exact
     record.results["estimates"] = est
@@ -200,6 +215,7 @@ def _cmd_semigroup(record, config, t=200.0, tol=1e-2, instance=None):
     m = a.shape[0]
     exact = np.array([exp_growth_exponent_exact(dec, np.eye(m)[:, j]) for j in range(m)])
     est = np.array([exp_growth_estimate(a, np.eye(m)[:, j], t) for j in range(m)])
+    tol = _relative(tol, _sorted_moduli(a))
     record.add_check("growth_deviation", float(np.max(np.abs(est - exact))), tol)
     record.results["limit_matrix"] = k.matrix
     record.results["real_parts"] = list(res.levels)

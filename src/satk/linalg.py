@@ -11,7 +11,9 @@ re-export, loaded from their files in scipy's ``linalg`` directory without
 importing the ``scipy.linalg`` package, whose ``__init__`` costs a fresh
 process a few hundred milliseconds (it imports ``numpy.f2py``,
 ``numpy.testing``, ``numpy.ma`` and ``numpy.random``).  Every LAPACK and BLAS
-routine of satk is taken from these two names.
+routine of satk is taken from these two names, and no command loads the
+``scipy.linalg`` package: ``semigroup``'s matrix exponential is a Pade step
+on ``lapack.zgesv``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ appear nowhere else in ``src/satk``.
 
 Every BLAS and LAPACK call in ``src/satk`` passes its arguments by position.
 
+No module of ``src/satk`` imports ``scipy`` or anything under it:
+``linalg``'s loader of scipy's two compiled modules is the only way in.
+
 No CLI command converts one of its own parameters: ``cli.run_command``
 checks each ``--config`` value once.
 """
@@ -173,6 +176,23 @@ def test_lapack_calls_are_positional():
             and node.keywords
             and (routine(node.func) or isinstance(node.func, ast.Name) and node.func.id in bound)
         ]
+    assert found == []
+
+
+def test_no_module_imports_scipy():
+    # linalg finds scipy's _flapack and _fblas with importlib and runs them
+    # from their files; an import statement would load a second binding (and
+    # scipy.linalg's __init__ with numpy.f2py, numpy.testing and numpy.random)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
     assert found == []
 
 

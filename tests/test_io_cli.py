@@ -171,6 +171,29 @@ def _cli_run(tmp_path, a, command="limit"):
     return code, json.loads(out.read_text())
 
 
+@pytest.mark.parametrize(
+    "c, command, tol, code",
+    [
+        (1e200, "yamamoto", 1e-3, 0),
+        (1e200, "iterate", 1e-3, 0),
+        (1e200, "vector-exponent", 1e-3, 0),
+        (1e-40, "yamamoto", 1e-3, 0),
+        (1e-40, "iterate", 1e-3, 0),
+        (1e-40, "vector-exponent", 1e-3, 0),
+        (1e-40, "semigroup", 1e-2, 1),
+        (0.0, "yamamoto", 1e-3, 0),
+        (0.0, "semigroup", 1e-2, 0),
+    ],
+)
+def test_cli_estimator_tolerance_is_relative_to_the_spectral_radius(tmp_path, c, command, tol, code):
+    # rho(c [[1, 1], [0, 0.5]]) = c: at 1e200 the deviations of 7e-11 relative
+    # pass; at 1e-40 semigroup's estimate 0 of the exponents 1e-40 fails; at
+    # rho = 0 the check stays absolute
+    got, rec = _cli_run(tmp_path, c * np.array([[1.0, 1.0], [0.0, 0.5]]), command)
+    assert (got, rec["errors"]) == (code, [])
+    assert rec["checks"][-1]["tolerance"] == pytest.approx(tol * c if c else tol, rel=1e-15)
+
+
 @pytest.mark.parametrize("k", [4, 6, 8])
 @pytest.mark.parametrize("command", ["decompose", "limit"])
 def test_cli_refuses_similar_jordan_block(tmp_path, command, k):
@@ -282,20 +305,22 @@ def _fresh_process_main(argv):
 
 
 def test_cli_start_up_loads_no_scipy_linalg(tmp_path):
-    # satk takes LAPACK and BLAS from scipy's two compiled modules; only
-    # semigroup's expm imports the scipy.linalg package (and numpy.f2py with it)
+    # satk takes LAPACK and BLAS from scipy's two compiled modules, semigroup's
+    # Pade step included: no command imports the scipy.linalg package (and
+    # numpy.f2py with it)
     code = (
         "import json, sys\n"
         "import satk, satk.cli\n"
+        "loaded = lambda: sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules))\n"
         "status = satk.cli.main(['limit', '--seed', '1', '--out', sys.argv[1]])\n"
-        "after_limit = sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules))\n"
-        "satk.cli.main(['semigroup', '--seed', '1', '--out', sys.argv[1]])\n"
-        "print(json.dumps([status, after_limit, 'scipy.linalg' in sys.modules]))\n"
+        "after_limit = loaded()\n"
+        "status_semigroup = satk.cli.main(['semigroup', '--seed', '1', '--out', sys.argv[1]])\n"
+        "print(json.dumps([status, after_limit, status_semigroup, loaded()]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rec.json")], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [0, [], True]
+    assert json.loads(run.stdout) == [0, [], 0, []]
 
 
 def test_cli_parser_reused_after_usage_errors(tmp_path, capsys):
@@ -418,8 +443,9 @@ def test_cli_limit_of_a_level_whose_sum_overflows(tmp_path, z, w):
     ],
 )
 def test_cli_decompose_prints_nothing_on_an_overflowing_check(tmp_path, a):
-    # the commutation product leaves float range: the record says so, and a
-    # new process (no warning filter of the suite) prints nothing
+    # the commutation and nilpotency products leave float range: their checks
+    # fail with the value inf, no error is recorded, and a new process (no
+    # warning filter of the suite) prints nothing
     src, out = tmp_path / "a.json", tmp_path / "rec.json"
     src.write_text(json.dumps(matrix_to_json(a)))
     env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
@@ -427,7 +453,9 @@ def test_cli_decompose_prints_nothing_on_an_overflowing_check(tmp_path, a):
     run = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (1, "", "")
     rec = json.loads(out.read_text())
-    assert [(e["type"], e["message"]) for e in rec["errors"]] == [("LinAlgError", "SVD did not converge")]
+    assert rec["errors"] == []
+    failed = [(c["name"], c["value"]) for c in rec["checks"] if not c["passed"]]
+    assert failed == [("commutation", "inf"), ("nilpotency", "inf")]
 
 
 @pytest.mark.parametrize(

@@ -321,6 +321,7 @@ def _bound_routine_calls():
         ("lapack", "zgeqrf", (a,)),
         ("lapack", "zungqr", (qr, tau)),
         ("lapack", "zgesdd", (a,)),
+        ("lapack", "zgesv", (a, b)),
         ("lapack", "zgees", (lambda w: 0, a)),
         ("lapack", "ztrsen", (np.array([0, 1, 0, 1, 1]), t, np.eye(5, dtype=complex))),
         ("lapack", "ztrsyl", (t[:2, :2], t[2:, 2:], b[:2, 2:])),

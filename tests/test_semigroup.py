@@ -4,7 +4,7 @@ import scipy.linalg
 
 from satk import linalg, powerit, semigroup
 from satk.decomp import dunford
-from satk.errors import InvalidInput
+from satk.errors import InvalidInput, NumericalFailure
 from satk.instances import InstanceSpec, generate_instance
 from satk.resolution import limit_operator, modulus_resolution
 
@@ -26,6 +26,23 @@ def test_matrix_exp_scaled_matches_expm(rng):
 def test_matrix_exp_scaled_t_zero_is_identity():
     sp = semigroup.matrix_exp_scaled(np.diag([1.0, 2.0]), 0.0)
     assert linalg.norm2(scaled_matrix(sp) - np.eye(2)) == 0.0
+
+
+@pytest.mark.parametrize("norm", [0.5, 0.1, 1e-3])
+def test_pade_step_matches_expm(norm):
+    # the one degree-7 step against scipy's expm as an oracle, at every norm
+    # up to the step cap
+    for seed in range(100):
+        a = generate_instance(6400 + seed, InstanceSpec(dim=2 + seed % 7)).matrix
+        x = (norm / linalg.norm2(a)) * a
+        expected = scipy.linalg.expm(x)
+        assert linalg.norm2(semigroup._pade7(x) - expected) <= 1e-14 * linalg.norm2(expected)
+
+
+def test_pade_step_raises_on_a_failed_solve(monkeypatch):
+    monkeypatch.setattr(linalg.lapack, "zgesv", lambda a, b: (a, None, b, 1))
+    with pytest.raises(NumericalFailure, match="info=1"):
+        semigroup.matrix_exp_scaled(np.eye(2), 1.0)
 
 
 def test_matrix_exp_scaled_large_t_stays_finite():
