@@ -152,18 +152,23 @@ def _log_sums(start, diagonals):
 
 
 def _block_power(a):
-    """(k, A^k) for blocked flag steps: the largest k in (8, 4, 2) whose A^k
-    is finite and has s_min >= _BLOCK_SPREAD_FLOOR * s_max and
-    s_min >= _BLOCK_SINGULAR_FLOOR; (1, A) when there is none.
+    """(k, A^k) for blocked flag steps: the largest k in (32, 16, 8, 4, 2)
+    whose A^k is finite and has s_min >= _BLOCK_SPREAD_FLOOR * s_max and
+    s_min >= _BLOCK_SINGULAR_FLOOR; (1, A) when there is none.  A^k comes
+    from one squaring chain A^2, A^4, ..., A^32.
 
     The QR of A^k Q keeps each log|r_jj| to about eps * cond(A^k) (Stewart
-    1995, ETNA 3), which the spread floor bounds.  Singular, nilpotent,
-    overflowing, underflowing and badly conditioned inputs take k = 1.
+    1995, ETNA 3), which the spread floor bounds at every k, so a larger
+    block is no less accurate per block and a run takes fewer of them.
+    Singular, nilpotent, overflowing, underflowing and badly conditioned
+    inputs take k = 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = a @ a
         a4 = a2 @ a2
-        for k, ak in ((8, a4 @ a4), (4, a4), (2, a2)):
+        a8 = a4 @ a4
+        a16 = a8 @ a8
+        for k, ak in ((32, a16 @ a16), (16, a16), (8, a8), (4, a4), (2, a2)):
             if not np.isfinite(ak).all():
                 continue
             s = linalg.svd(ak, compute_uv=False)
@@ -182,14 +187,14 @@ def _flag_run(a, ns: tuple):
     steps a^n = Q T with Q of that step.  Returns one (q, levels) per n: levels
     are the per-step growth factors exp(log|T_jj| / window) over the final
     quarter of the first n steps, after the flag has aligned, so they are free
-    of the alignment transient.  The run steps by blocks of a^k (k from
-    ``_block_power``) into one diagonal buffer and reaches each read-out point
-    p (an n or a window start) from the block at k * (p // k) with p % k
-    single steps of a, so a read-out at n does not depend on the other entries
-    of ns.  The blocks stop only where a Q is read, at each n and each p off
-    the blocks, and every n is read out in one array pass.  The estimators
-    called on one (a, n) share a run through this memo.  A run past
-    _MAX_STEPS is refused before anything is allocated.
+    of the alignment transient.  The run steps by blocks of a^k (k up to 32,
+    from ``_block_power``) into one diagonal buffer and reaches each read-out
+    point p (an n or a window start) from the block at k * (p // k) with
+    p % k single steps of a, so a read-out at n does not depend on the other
+    entries of ns.  The blocks stop only where a Q is read, at each n and each
+    p off the blocks, and every n is read out in one array pass.  The
+    estimators called on one (a, n) share a run through this memo.  A run
+    past _MAX_STEPS is refused before anything is allocated.
     """
     if max(ns) > _MAX_STEPS:
         raise InvalidInput(f"n = {max(ns)} is more than {_MAX_STEPS} flag steps")
@@ -248,9 +253,12 @@ def _power_roots(a, ns: tuple):
 
 
 def _rebuild(v, roots):
-    """V diag(roots) V*, made exactly hermitian; on stacks of V and roots, one per pair."""
+    """V diag(roots) V*, made exactly hermitian; on stacks of V and roots, one per pair.
+    Each half is taken before the sum, which then stays finite up to the float
+    maximum; halving is exact above the subnormals, so there these are the
+    bytes of halving the sum."""
     out = (v * roots[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return 0.5 * out + 0.5 * out.conj().swapaxes(-1, -2)
 
 
 def normalized_power(a, n: int) -> np.ndarray:

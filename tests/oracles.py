@@ -2,12 +2,13 @@
 
 Dense operator-inequality tools (the Loewner lemmas of the paper's proof are
 checked with them), literal matrix powers, binary powering of one n on its
-own, a flag run stopped at every read-out point and read out one n at a
-time, the range-projection form of the limit, the Schur splits made one
-cluster and one level at a time, the inverses of satk's writers, and the
-entry-by-entry forms of the matrix reader and the record converter that
-satk's whole-array ones must match to the bit.  None of them is on a
-computing path of satk, so they live here and not in ``src/``.
+own, the block factor rule of blocks up to 8, a flag run stopped at every
+read-out point and read out one n at a time, the range-projection form of
+the limit, the Schur splits made one cluster and one level at a time, the
+inverses of satk's writers, and the entry-by-entry forms of the matrix
+reader and the record converter that satk's whole-array ones must match to
+the bit.  None of them is on a computing path of satk, so they live here
+and not in ``src/``.
 """
 
 import csv
@@ -184,6 +185,22 @@ def tail_levels(at, ns):
             levels = np.exp(np.nan_to_num(tail, nan=-np.inf, posinf=-np.inf) / window)
         out.append(np.nan_to_num(levels, nan=0.0, posinf=0.0))
     return out
+
+
+def block_power_to_8(a):
+    """``powerit._block_power`` with blocks of at most 8: the largest k in
+    (8, 4, 2) whose A^k, from the chain A^2, A^4, A^8, passes the same
+    finiteness, spread and singular floors; (1, A) when there is none."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        for k, ak in ((8, a4 @ a4), (4, a4), (2, a2)):
+            if not np.isfinite(ak).all():
+                continue
+            s = np.linalg.svd(ak, compute_uv=False)
+            if s[-1] >= max(powerit._BLOCK_SPREAD_FLOOR * s[0], powerit._BLOCK_SINGULAR_FLOOR):
+                return k, ak
+    return 1, a
 
 
 def flag_run_per_point(a, ns):

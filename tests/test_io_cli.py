@@ -435,6 +435,22 @@ def test_cli_limit_of_a_level_whose_sum_overflows(tmp_path, z, w):
     assert rec["results"]["limit_matrix"] == [[[abs(z), 0.0], [0.0, 0.0]], [[0.0, 0.0], [abs(z), 0.0]]]
 
 
+def test_cli_iterate_at_the_float_maximum_is_finite_and_quiet(tmp_path):
+    # |A^n|^(1/n) = |z| I: its hermitian part once summed two entries past
+    # float range, and every error was nan with two warnings; a new process
+    # (no warning filter of the suite) prints nothing
+    z = 0.65e308 * (1 + 1j)
+    src, out = tmp_path / "a.json", tmp_path / "rec.json"
+    src.write_text(json.dumps(matrix_to_json(np.diag([z, -z]))))
+    env = {**os.environ, "PYTHONPATH": str(Path(satk.__file__).parents[1])}
+    argv = [sys.executable, "-m", "satk.cli", "iterate", "--input", str(src), "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    errors = json.loads(out.read_text())["results"]["errors"]
+    assert len(errors) == 9
+    assert all(isinstance(e, float) and e <= 1e-13 * abs(z) for e in errors)
+
+
 @pytest.mark.parametrize(
     "a",
     [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import blas, lapack
 
-from satk import linalg, powerit
+from satk import linalg, powerit, semigroup
 from satk.cli import run_command
 from satk.decomp import dunford
 from satk.errors import InvalidInput
@@ -13,6 +13,7 @@ from satk.resolution import limit_operator, modulus_resolution, vector_exponent_
 from conftest import clear_memos, dt_like, random_complex, random_invertible
 from oracles import (
     abs_op,
+    block_power_to_8,
     brute_force_power,
     flag_run_per_point,
     loewner_leq,
@@ -176,8 +177,8 @@ def _reference_flag_run(a, ns, k):
 def _flag_kernel_cases():
     """(kind, a): the kernel runs a "generic" matrix in blocks (k > 1) and
     every other kind with k = 1.  m = 1 takes numpy's dot path and m > 1 the
-    zgemm product; k runs over 1, 2, 4 and 8; the singular and nilpotent
-    cases put -inf in the logs."""
+    zgemm product; k runs over 1, 2, 4, 8, 16 and 32; the singular and
+    nilpotent cases put -inf in the logs."""
     rng = np.random.default_rng(2024)
     for m in range(1, 9):
         yield pytest.param("generic", random_complex(rng, (m, m)), id=f"generic-{m}")
@@ -250,16 +251,16 @@ def test_flag_run_matches_the_per_point_read_out(kind, a, ns):
 
 
 def test_schedule_flag_run_stops_only_where_q_is_read(monkeypatch):
-    # the schedule's flag path is n = 128 ... 4096 in blocks of 8: one stretch
+    # the schedule's flag path is n = 128 ... 4096 in blocks of 32: one stretch
     # of blocks to each n, none to its window start 3n / 4 (a whole block)
     a = generate_instance(5, InstanceSpec(dim=5)).matrix
     k = limit_operator(modulus_resolution(dunford(a))).matrix
-    assert powerit._block_power(a.conj().T)[0] == 8
+    assert powerit._block_power(a.conj().T)[0] == 32
     steps, calls = powerit._flag_steps, []
     monkeypatch.setattr(powerit, "_flag_steps", lambda *args: calls.append(len(args[2])) or steps(*args))
     clear_memos()
     powerit.convergence_study(a, SCHEDULE, k)
-    assert calls == [16, 16, 32, 64, 128, 256]  # blocks per stretch
+    assert calls == [4, 4, 8, 16, 32, 64]  # blocks per stretch
 
 
 def test_flag_steps_keep_f2py_default_lwork():
@@ -282,9 +283,11 @@ def test_flag_steps_keep_f2py_default_lwork():
 
 def _blocked_gate_cases():
     """14 acceptance instances (2 per dim), unitarily conjugated 6 x 6 direct
-    sums of 2 x 2 blocks [[a, c], [0, b]], and DT-like matrices (eigenvalues
+    sums of 2 x 2 blocks [[a, c], [0, b]], DT-like matrices (eigenvalues
     uniform in the unit disc plus a strictly upper Gaussian part scaled by
-    1/sqrt(2m), under a random unitary) at m = 16 and 32."""
+    1/sqrt(2m), under a random unitary) at m = 16 and 32 and
+    ``dt_like(2, 16)`` (k = 2), and the propagator exp(hA) that
+    ``exp_growth_estimate`` runs at t = 200 on a dim-5 instance (k = 32)."""
     for i in range(14):
         inst = generate_instance(20000 + i, InstanceSpec(dim=2 + i % 7))
         yield pytest.param(inst.matrix, id=f"acceptance-{20000 + i}")
@@ -301,12 +304,22 @@ def _blocked_gate_cases():
         t = np.diag(eigs) + np.triu(random_complex(rng, (m, m)), 1) / np.sqrt(2 * m)
         u, _ = np.linalg.qr(random_complex(rng, (m, m)))
         yield pytest.param(u @ t @ u.conj().T, id=f"dt-{m}")
+    yield pytest.param(dt_like(2, 16), id="dt-like-16")
+    a, t = generate_instance(1, InstanceSpec(dim=5)).matrix, 200.0
+    h = t / np.ceil(t * max(linalg.norm2(a), 0.5) / semigroup._STEP_NORM_CAP)
+    yield pytest.param(semigroup.matrix_exp_scaled(a, h).unit, id="propagator-1")
 
 
-@pytest.mark.parametrize("a", list(_blocked_gate_cases()))
+_BLOCKED_GATE_CASES = list(_blocked_gate_cases())
+
+
+@pytest.mark.parametrize("a", _BLOCKED_GATE_CASES)
 def test_blocked_flag_matches_unblocked(monkeypatch, a):
     n = 4096
     b = a.conj().T
+    # the cases take every block factor _block_power chooses from
+    factors = {powerit._block_power(case.values[0].conj().T)[0] for case in _BLOCKED_GATE_CASES}
+    assert factors == {32, 16, 8, 4, 2}
     assert powerit._block_power(b)[0] > 1
     blocked = powerit._rebuild(*powerit._flag_run(b, (n,))[0])
     # the unblocked run: the kernel at k = 1, which is the k = 1 reference
@@ -316,12 +329,27 @@ def test_blocked_flag_matches_unblocked(monkeypatch, a):
     assert linalg.norm2(blocked - powerit._rebuild(q, roots)) <= 1e-10
 
 
+def test_refused_large_blocks_keep_the_factor_and_bytes_of_blocks_up_to_8():
+    # 210 generated instances, 30 per dim 2-8: wherever A^32 and A^16 are
+    # refused, the run steps by the factor and the A^k bytes that the rule of
+    # blocks up to 8 gives, so its records keep their bytes
+    kept = set()
+    for seed in range(210):
+        a = generate_instance(30000 + seed, InstanceSpec(dim=2 + seed % 7)).matrix.conj().T
+        k, ak = powerit._block_power(a)
+        if k <= 8:
+            want_k, want_ak = block_power_to_8(a)
+            assert (k, ak.tobytes()) == (want_k, want_ak.tobytes()), seed
+            kept.add(k)
+    assert kept == {4, 8}
+
+
 @pytest.mark.parametrize("c, k", [(1e200, 1), (1e-200, 1), (1e-40, 4)])
 def test_flag_estimates_scale_with_the_matrix(c, k):
     # A^2 of c * A leaves float range at c = 1e±200 and A^8 is subnormal at
-    # c = 1e-40, so those blocks are refused; A itself runs in blocks of 8
+    # c = 1e-40, so those blocks are refused; A itself runs in blocks of 16
     a, n = np.array([[1, 1], [0, 0.5]], dtype=complex), 4096
-    assert powerit._block_power(a.conj().T)[0] == 8
+    assert powerit._block_power(a.conj().T)[0] == 16
     assert powerit._block_power(c * a.conj().T)[0] == k
     # a run sums its logs of size |log c| per step: each sum rounds at up to
     # eps * n * |log c|, 4.2e-10 relative at c = 1e±200
