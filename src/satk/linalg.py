@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -77,6 +78,15 @@ def binary_split(x) -> tuple:
     out = np.empty_like(x)
     out.real, out.imag = np.ldexp(x.real, -e), np.ldexp(x.imag, -e)
     return out, e
+
+
+def binary_unit(x) -> tuple:
+    """(u, e) with x = u * 2**e, as ``binary_split`` over every entry of the
+    complex array x at once: one int e, and a C-ordered u (0 and e = 0 at
+    x = 0); a part that lands in the subnormals loses bits, as there."""
+    parts = np.ascontiguousarray(x).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
 
 
 def matrix_memo(maxsize: int):

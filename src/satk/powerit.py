@@ -2,7 +2,7 @@
 
 Two representations are used depending on the dynamic range of A^n:
 
-* a single scaled matrix ``exp(log_scale) * unit`` (binary exponentiation),
+* a single scaled matrix ``unit * 2**exponent`` (binary exponentiation),
   exact while the singular spread of ``unit`` stays inside float range;
 * a QR-accumulation flag run (one orthonormalization per multiply), whose
   per-direction log-magnitudes never overflow and resolve singular directions
@@ -10,7 +10,9 @@ Two representations are used depending on the dynamic range of A^n:
 
 The second is required for n in the thousands: the smallest singular values of
 A^n then lie hundreds of orders of magnitude below the largest and cannot be
-carried by any single float64 matrix.
+carried by any single float64 matrix.  Both hold A and its powers at the unit
+scale of ``linalg.binary_unit``, apart from an int exponent of 2, so each
+read-out of 2**j A is 2**j times that of A, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,26 +33,21 @@ _EXACT_N_MAX = 64
 _COEFF_TOL = 1e-6
 # A flag run steps by A^k only while the singular spread of A^k stays above
 # this floor, and while the smallest singular value of A^k stays above the
-# second, clear of subnormals: 1e-40 * [[1, 1], [0, 0.5]] has a subnormal A^8,
-# and blocks of 8 put a 1.5e-3 relative error on its small level.
+# second, clear of subnormals: the unit of [[0, 1], [2^-1030, 0]] squares to
+# the subnormal 2^-1032 I, and its A^4 ... A^32 = 0 pass the spread floor alone.
 _BLOCK_SPREAD_FLOOR = 1e-6
 _BLOCK_SINGULAR_FLOOR = 1e-290
 # The most steps a flag run (or a propagator in satk.semigroup) takes: a run
 # holds (n // k) x m complex diagonals, 512 MB at m = 8 and k = 1.
 _MAX_STEPS = 2**22
-# A matrix whose spectral norm is subnormal (below _TINY) is first multiplied
-# by 2**_LIFT, exactly, which puts every subnormal norm in the normal range.
-_TINY = np.finfo(float).tiny
-_LIFT = 64
 
 
 @dataclass(frozen=True)
 class ScaledPower:
-    """A^n = exp(log_scale) * unit with ||unit||_2 = 1 (or the zero matrix)."""
+    """A^n = unit * 2**exponent, unit at the scale of ``linalg.binary_unit`` (0 if A^n is)."""
 
     unit: np.ndarray
-    log_scale: float
-    is_zero: bool = False
+    exponent: int
 
 
 @dataclass(frozen=True)
@@ -59,47 +56,33 @@ class ConvergenceReport:
 
 
 def scaled_power(a, n: int) -> ScaledPower:
-    """A^n by binary exponentiation, renormalized to unit spectral norm per multiply."""
+    """A^n by binary exponentiation, renormalized to unit scale per multiply."""
     return _scaled_powers(linalg.as_matrix(a), (positive_int(n),))[0]
 
 
 def _scaled_powers(a, ns) -> list:
     """A^n as a ``ScaledPower`` for each n in ns, from one squaring chain.
 
-    The chain base_0 = A/||A||, base_(i+1) = base_i @ base_i renormalized, is
-    built once, to the top bit of max(ns), and stops at the first zero entry.
-    Each n then multiplies the identity by the entries of its set bits, from
-    the least significant up, renormalizing after each multiply: the same
-    arithmetic for each n as powering it on its own.
+    The chain base_0 = A, base_(i+1) = base_i @ base_i, each entry renormalized
+    by ``linalg.binary_unit``, is built once, to the top bit of max(ns).  Each
+    n then multiplies the identity by the entries of its set bits, from the
+    least significant up, renormalizing after each multiply: the same
+    arithmetic for each n as powering it on its own.  A zero entry zeroes
+    every later entry and every product it enters.
     """
-
-    def normalized(x, log):
-        s = linalg.norm2(x)
-        if 0.0 < s < _TINY:  # numpy divides by s through 1 / s, which overflows: lift x exactly first
-            x, log = x * 2.0**_LIFT, log - _LIFT * np.log(2.0)
-            s = linalg.norm2(x)
-        if s == 0.0:
-            return None
-        return x / s, log + np.log(s)
-
-    chain = [normalized(a, 0.0)]
-    while chain[-1] is not None and len(chain) < max(ns).bit_length():
-        base = chain[-1]
-        chain.append(normalized(base[0] @ base[0], 2.0 * base[1]))
+    chain = [linalg.binary_unit(a)]
+    while len(chain) < max(ns).bit_length():
+        base, e = chain[-1]
+        unit, f = linalg.binary_unit(base @ base)
+        chain.append((unit, 2 * e + f))
     out = []
     for n in ns:
-        acc = (np.eye(a.shape[0], dtype=np.complex128), 0.0)
-        for i in range(n.bit_length()):
-            if chain[i] is None:
-                acc = None
-            elif n >> i & 1:
-                acc = normalized(acc[0] @ chain[i][0], acc[1] + chain[i][1])
-            if acc is None:
-                break
-        if acc is None:
-            out.append(ScaledPower(unit=np.zeros_like(a), log_scale=0.0, is_zero=True))
-        else:
-            out.append(ScaledPower(unit=acc[0], log_scale=float(acc[1])))
+        unit, exponent = np.eye(a.shape[0], dtype=np.complex128), 0
+        for i, (base, e) in enumerate(chain[: n.bit_length()]):
+            if n >> i & 1:
+                unit, f = linalg.binary_unit(unit @ base)
+                exponent += e + f
+        out.append(ScaledPower(unit, exponent))
     return out
 
 
@@ -152,28 +135,25 @@ def _log_sums(start, diagonals):
 
 
 def _block_power(a):
-    """(k, A^k) for blocked flag steps: the largest k in (32, 16, 8, 4, 2)
-    whose A^k is finite and has s_min >= _BLOCK_SPREAD_FLOOR * s_max and
-    s_min >= _BLOCK_SINGULAR_FLOOR; (1, A) when there is none.  A^k comes
-    from one squaring chain A^2, A^4, ..., A^32.
+    """(k, A^k) for blocked flag steps on a unit-scale A (``linalg.binary_unit``):
+    the largest k in (32, 16, 8, 4, 2) whose A^k has s_min >=
+    _BLOCK_SPREAD_FLOOR * s_max and s_min >= _BLOCK_SINGULAR_FLOOR; (1, A)
+    when there is none.  A^k comes from one squaring chain A^2, A^4, ..., A^32,
+    which cannot overflow: ||A^32||_2 <= (sqrt(2) m)^32 at unit scale.
 
     The QR of A^k Q keeps each log|r_jj| to about eps * cond(A^k) (Stewart
     1995, ETNA 3), which the spread floor bounds at every k, so a larger
     block is no less accurate per block and a run takes fewer of them.
-    Singular, nilpotent, overflowing, underflowing and badly conditioned
-    inputs take k = 1.
+    Singular, nilpotent, underflowing and badly conditioned inputs take k = 1.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a2 = a @ a
-        a4 = a2 @ a2
-        a8 = a4 @ a4
-        a16 = a8 @ a8
-        for k, ak in ((32, a16 @ a16), (16, a16), (8, a8), (4, a4), (2, a2)):
-            if not np.isfinite(ak).all():
-                continue
-            s = linalg.svd(ak, compute_uv=False)
-            if s[-1] >= max(_BLOCK_SPREAD_FLOOR * s[0], _BLOCK_SINGULAR_FLOOR):
-                return k, ak
+    a2 = a @ a
+    a4 = a2 @ a2
+    a8 = a4 @ a4
+    a16 = a8 @ a8
+    for k, ak in ((32, a16 @ a16), (16, a16), (8, a8), (4, a4), (2, a2)):
+        s = linalg.svd(ak, compute_uv=False)
+        if s[-1] >= max(_BLOCK_SPREAD_FLOOR * s[0], _BLOCK_SINGULAR_FLOOR):
+            return k, ak
     return 1, a
 
 
@@ -183,14 +163,15 @@ def _flag_run(a, ns: tuple):
     q approximate right singular directions of A^n and its levels their
     singular values' n-th roots.
 
-    ns is a sorted tuple of step counts.  After n multiply-and-orthonormalize
-    steps a^n = Q T with Q of that step.  Returns one (q, levels) per n: levels
-    are the per-step growth factors exp(log|T_jj| / window) over the final
-    quarter of the first n steps, after the flag has aligned, so they are free
-    of the alignment transient.  The run steps by blocks of a^k (k up to 32,
+    ns is a sorted tuple of step counts.  The run steps on the unit u of
+    a = u * 2**e (``linalg.binary_unit``): after n multiply-and-orthonormalize
+    steps u^n = Q T with Q of that step.  Returns one (q, levels) per n: levels
+    are 2**e times the per-step growth factors exp(log|T_jj| / window) over the
+    final quarter of the first n steps, after the flag has aligned, so free of
+    the alignment transient.  The run steps by blocks of u^k (k up to 32,
     from ``_block_power``) into one diagonal buffer and reaches each read-out
     point p (an n or a window start) from the block at k * (p // k) with
-    p % k single steps of a, so a read-out at n does not depend on the other
+    p % k single steps of u, so a read-out at n does not depend on the other
     entries of ns.  The blocks stop only where a Q is read, at each n and each
     p off the blocks, and every n is read out in one array pass.  The
     estimators called on one (a, n) share a run through this memo.  A run
@@ -199,6 +180,7 @@ def _flag_run(a, ns: tuple):
     if max(ns) > _MAX_STEPS:
         raise InvalidInput(f"n = {max(ns)} is more than {_MAX_STEPS} flag steps")
     m = a.shape[0]
+    a, e = linalg.binary_unit(a)
     k, ak = _block_power(a)
     windows = [max(1, n // 4) for n in ns]
     starts = [n - w for n, w in zip(ns, windows)]
@@ -219,10 +201,18 @@ def _flag_run(a, ns: tuple):
     ends = np.array([at[n][1] for n in ns])
     with np.errstate(invalid="ignore"):
         tail = ends - np.array([at[p][1] for p in starts])
-    tail[np.isneginf(ends) | ~np.isfinite(tail)] = -np.inf  # dead, nan and +inf tails
-    levels = np.exp(tail / np.array(windows)[:, None])
-    levels[~np.isfinite(levels)] = 0.0
+    tail[np.isneginf(ends) | ~np.isfinite(tail)] = -np.inf  # dead and nan tails
+    levels = _scaled_back(np.exp(tail / np.array(windows)[:, None]), e)
     return tuple((at[n][0], row) for n, row in zip(ns, levels))
+
+
+def _scaled_back(roots, e):
+    """roots * 2**e: the roots of A^n from those of its unit, refused past the float maximum."""
+    with np.errstate(over="ignore"):
+        roots = np.ldexp(roots, e)
+    if np.isinf(roots).any():
+        raise InvalidInput("a root s_j(A^n)^(1/n) leaves float range")
+    return roots
 
 
 @linalg.matrix_memo(maxsize=64)
@@ -238,14 +228,12 @@ def _power_roots(a, ns: tuple):
     ``normalized_power`` and ``yamamoto_limits`` on one (A, n) share a
     read-out through this memo.
     """
-    m, out = a.shape[0], {}
+    out = {}
     for n, sp in zip(ns, _scaled_powers(a, ns)):
-        if sp.is_zero:
-            out[n] = np.eye(m, dtype=np.complex128), np.zeros(m)
-            continue
         _, s, vh = linalg.svd(sp.unit)
         if n <= _EXACT_N_MAX or s[-1] >= _EXACT_SPREAD_FLOOR * s[0]:
-            out[n] = vh.conj().T, np.exp(sp.log_scale / n) * s ** (1.0 / n)
+            q, r = divmod(sp.exponent, n)  # s_j(A^n)^(1/n) = (2**r s_j)^(1/n) 2**q
+            out[n] = vh.conj().T, _scaled_back(2.0 ** (r / n) * s ** (1.0 / n), q)
     flag_ns = tuple(n for n in ns if n not in out)
     if flag_ns:
         out.update(zip(flag_ns, _flag_run(a.conj().T, flag_ns)))

@@ -61,7 +61,8 @@ def exp_growth_estimate(a, x, t: float) -> float:
 
     Uses K renormalized applications of exp((t/K)A) so strongly contracting
     directions stay representable; for large t the exponent is read off the
-    propagator's singular flag (see vector_exponent_estimates).
+    singular flag (see vector_exponent_estimates) of the propagator's unit,
+    and its exponent adds exponent * ln 2 to the log.
     """
     a = linalg.as_matrix(a)
     if t <= 0:
@@ -80,4 +81,4 @@ def exp_growth_estimate(a, x, t: float) -> float:
         # exp(tA) is invertible; a zero here can only mean underflow of the
         # unit propagator, which bounded generators never produce.
         return -np.inf
-    return float((np.log(growth) + propagator.log_scale) / h)
+    return float((np.log(growth) + propagator.exponent * np.log(2.0)) / h)

@@ -135,41 +135,30 @@ def brute_force_power(a, n: int) -> np.ndarray:
 
 
 def scaled_power_per_n(a, n: int):
-    """A^n by binary exponentiation from A itself, renormalized to unit spectral
-    norm per multiply: the powering of one n on its own, the byte-identity
-    reference for the shared squaring chain of ``powerit._scaled_powers``."""
+    """A^n by binary exponentiation from A itself, renormalized to unit scale
+    (``linalg.binary_unit``) per multiply: the powering of one n on its own,
+    the byte-identity reference for the shared squaring chain of
+    ``powerit._scaled_powers``."""
     a = linalg.as_matrix(a)
-    m = a.shape[0]
 
-    def normalized(x, log):
-        s = linalg.norm2(x)
-        if s == 0.0:
-            return None
-        return x / s, log + np.log(s)
+    def times(x, y):
+        unit, e = linalg.binary_unit(x[0] @ y[0])
+        return unit, x[1] + y[1] + e
 
-    base = normalized(a, 0.0)
-    acc = (np.eye(m, dtype=np.complex128), 0.0)
+    base = linalg.binary_unit(a)
+    acc = (np.eye(a.shape[0], dtype=np.complex128), 0)
     while n:
-        if base is None:
-            acc = None
-            break
         if n & 1:
-            acc = normalized(acc[0] @ base[0], acc[1] + base[1])
-            if acc is None:
-                break
+            acc = times(acc, base)
         n >>= 1
         if n:
-            base = normalized(base[0] @ base[0], 2.0 * base[1])
-    if acc is None:
-        return ScaledPower(unit=np.zeros_like(a), log_scale=0.0, is_zero=True)
-    return ScaledPower(unit=acc[0], log_scale=float(acc[1]))
+            base = times(base, base)
+    return ScaledPower(*acc)
 
 
 def scaled_matrix(sp) -> np.ndarray:
-    """The matrix exp(log_scale) * unit that a ``ScaledPower`` stands for."""
-    if sp.is_zero:
-        return np.zeros_like(sp.unit)
-    return np.exp(sp.log_scale) * sp.unit
+    """The matrix unit * 2**exponent that a ``ScaledPower`` stands for."""
+    return np.ldexp(sp.unit.view(np.float64), sp.exponent).view(np.complex128)
 
 
 def tail_levels(at, ns):
@@ -205,9 +194,11 @@ def block_power_to_8(a):
 
 def flag_run_per_point(a, ns):
     """``powerit._flag_run`` with its block trunk stopped at every read-out
-    point and window start p, each p branching p % k single steps of a off
-    its block, and each n read out on its own (``tail_levels``)."""
+    point and window start p, each p branching p % k single steps of the
+    unit u = 2**-e a off its block, and each n read out on its own
+    (``tail_levels``), its levels scaled back by 2**e."""
     m = a.shape[0]
+    a, e = linalg.binary_unit(a)
     k, ak = powerit._block_power(a)
     points = sorted(set(ns) | {n - max(1, n // 4) for n in ns})
     trunk = np.empty((points[-1] // k, m), dtype=np.complex128)
@@ -223,7 +214,7 @@ def flag_run_per_point(a, ns):
         for p, (q, steps) in branches.items():
             qs[p] = q
             logs[p] = powerit._log_sums(trunk_logs[p // k], steps)[-1] if p % k else trunk_logs[p // k]
-    return [(qs[n], levels) for n, levels in zip(ns, tail_levels(logs, ns))]
+    return [(qs[n], np.ldexp(levels, e)) for n, levels in zip(ns, tail_levels(logs, ns))]
 
 
 def truncate_forward(w, m: int) -> np.ndarray:

@@ -413,14 +413,27 @@ def test_cli_refuses_a_norm_past_float_range(tmp_path, command):
     assert rec["errors"][0]["message"] == "the spectral norm ||A|| = nan leaves float range"
 
 
+def test_cli_yamamoto_refuses_a_root_past_float_range(tmp_path):
+    # yamamoto forms no Schur form: its read-out refuses the root 2e308 by
+    # name, where it recorded limits [0, 0]
+    code, rec = _cli_run(tmp_path, np.full((2, 2), 1e308), "yamamoto")
+    assert code == 1
+    assert [e["type"] for e in rec["errors"]] == ["InvalidInput"]
+    assert rec["errors"][0]["message"] == "a root s_j(A^n)^(1/n) leaves float range"
+
+
 @pytest.mark.parametrize("command", ["limit", "decompose", "vector-exponent", "semigroup"])
 def test_cli_records_no_overflow_of_an_eigenvalue_gap(tmp_path, command):
     # ||A|| is finite but |z - (-z)| is not: the clustering counts the gap as
-    # apart instead of raising OverflowError
+    # apart instead of raising OverflowError; the flag run steps on the unit
+    # of A, so vector-exponent keeps its Q and reads both exponents |z|
     z = 0.65e308 * (1 + 1j)
     code, rec = _cli_run(tmp_path, np.diag([z, -z]), command)
-    assert code == (0 if command == "limit" else 1)
+    assert code == (0 if command in ("limit", "vector-exponent") else 1)
     assert "OverflowError" not in [e["type"] for e in rec["errors"]]
+    if command == "vector-exponent":
+        (check,) = rec["checks"]
+        assert check["name"] == "max_deviation" and check["value"] <= 1e-13 * abs(z)
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,23 @@ def test_norm2_is_numpy_spectral_norm(rng):
         assert linalg.norm2(x) == float(np.linalg.norm(x.astype(complex), 2))
 
 
+def test_binary_unit_is_binary_split_over_every_entry(rng):
+    # one exponent for the whole matrix: the rule binary_split applies to
+    # one column, here the column of every entry; any layout, subnormal and
+    # near-maximal entries, and zero (e = 0)
+    exact = [random_complex(rng, (m, m), scale) for m in (1, 3, 8) for scale in (1.0, 1e300, 1e-300)]
+    exact += [np.array([[3e-320j]]), np.zeros((3, 3), dtype=complex)]
+    cases = [*exact, np.diag([0.65e308 * (1 + 1j), 5e-320])]  # 5e-320 * 2^-1023 is 0
+    for x in cases + [x.T for x in cases]:
+        u, e = linalg.binary_unit(x)
+        want_u, want_e = linalg.binary_split(np.ascontiguousarray(x).reshape(-1, 1))
+        assert u.tobytes() == want_u.tobytes() and u.shape == x.shape and u.flags.c_contiguous
+        assert type(e) is int and e == want_e[0]
+    for x in exact:  # no entry of u is subnormal: the scaling loses no bit
+        u, e = linalg.binary_unit(x)
+        assert np.ldexp(u.view(np.float64), e).tobytes() == x.view(np.float64).tobytes()
+
+
 def _svd_cases(rng):
     for m in range(1, 9):
         for scale in (1.0, 1e150, 1e-150):

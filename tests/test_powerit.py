@@ -32,27 +32,27 @@ def test_scaled_power_matches_brute_force(rng):
     for _ in range(10):
         a = random_complex(rng, (4, 4), scale=0.8)
         for n in (1, 2, 3, 7, 16, 33):
-            sp = powerit.scaled_power(a, n)
-            assert linalg.norm2(scaled_matrix(sp) - brute_force_power(a, n)) < 1e-10 * np.exp(
-                sp.log_scale
-            )
+            power = scaled_matrix(powerit.scaled_power(a, n))
+            assert linalg.norm2(power - brute_force_power(a, n)) < 1e-10 * linalg.norm2(power)
 
 
 def test_scaled_power_zero_matrix():
     sp = powerit.scaled_power(np.zeros((3, 3)), 5)
-    assert sp.is_zero
+    assert not sp.unit.any()
     assert linalg.norm2(scaled_matrix(sp)) == 0.0
 
 
 def test_scaled_power_nilpotent_dies():
     n = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-    assert powerit.scaled_power(n, 3).is_zero
-    assert not powerit.scaled_power(n, 2).is_zero
+    assert not powerit.scaled_power(n, 3).unit.any()
+    assert powerit.scaled_power(n, 2).unit.any()
 
 
 def test_scaled_power_extreme_exponent_no_overflow():
+    # 3^4096 is far past float range: the int exponent carries it
     sp = powerit.scaled_power(3.0 * np.eye(2), 4096)
-    assert sp.log_scale == pytest.approx(4096 * np.log(3.0), rel=1e-12)
+    log_norm = np.log(linalg.norm2(sp.unit)) + sp.exponent * np.log(2.0)
+    assert log_norm == pytest.approx(4096 * np.log(3.0), rel=1e-12)
 
 
 def _chain_inputs():
@@ -78,19 +78,21 @@ def test_scaled_powers_match_per_n_powering(a):
         for n, got in zip(ns, powerit._scaled_powers(a, ns), strict=True):
             want = scaled_power_per_n(a, n)
             assert got.unit.tobytes() == want.unit.tobytes()
-            assert got.log_scale == want.log_scale
-            assert got.is_zero == want.is_zero
+            assert type(got.exponent) is int
+            assert got.exponent == want.exponent
 
 
 def test_power_roots_share_one_squaring_chain(monkeypatch):
-    # 13 chain entries A^(2^i), i = 0..12, and one product per n: 22 norms,
-    # where powering each n from A itself takes 90
+    # 13 chain entries A^(2^i), i = 0..12, and one product per n: 22
+    # renormalizations, where powering each n from A itself takes 90; the
+    # chain takes no spectral norm (the flag run renormalizes its input once)
     a = generate_instance(20003, InstanceSpec(dim=5)).matrix
-    norm2, calls = linalg.norm2, []
-    monkeypatch.setattr(linalg, "norm2", lambda x: calls.append(1) or norm2(x))
+    unit, norm2, units, norms = linalg.binary_unit, linalg.norm2, [], []
+    monkeypatch.setattr(linalg, "binary_unit", lambda x: units.append(1) or unit(x))
+    monkeypatch.setattr(linalg, "norm2", lambda x: norms.append(1) or norm2(x))
     clear_memos()
     powerit._power_roots(a, SCHEDULE)
-    assert len(calls) == 22
+    assert (len(units), len(norms)) == (22 + 1, 0)
     assert powerit._flag_run.cache_info().misses == 1  # the flag path ran
 
 
@@ -126,7 +128,7 @@ def test_normalized_power_flag_agrees_with_exact_midrange(rng):
     sp = powerit.scaled_power(a, n)
     u, sv, vh = np.linalg.svd(sp.unit)
     assert sv[-1] > 1e-10 * sv[0]  # exact path trustworthy here
-    exact = vh.conj().T @ ((np.exp(sp.log_scale / n) * sv ** (1.0 / n))[:, None] * vh)
+    exact = vh.conj().T @ ((2.0 ** (sp.exponent / n) * sv ** (1.0 / n))[:, None] * vh)
     (q, levels), = powerit._flag_run(a.conj().T, (n,))
     flag = (q * levels) @ q.conj().T
     assert linalg.norm2(flag - exact) < 5e-2  # both near K; transient separates them
@@ -174,6 +176,14 @@ def _reference_flag_run(a, ns, k):
     return {n: (at[n][0], lv) for n, lv in zip(ns, levels)}
 
 
+def _unit(a):
+    """(u, e) with a = u * 2**e and u's largest real or imaginary part in
+    [0.5, 1): the scale a flag run steps at, by numpy's frexp."""
+    a = linalg.as_matrix(a).view(np.float64)
+    e = int(np.frexp(np.abs(a).max())[1])
+    return np.ldexp(a, -e).view(np.complex128), e
+
+
 def _flag_kernel_cases():
     """(kind, a): the kernel runs a "generic" matrix in blocks (k > 1) and
     every other kind with k = 1.  m = 1 takes numpy's dot path and m > 1 the
@@ -190,12 +200,16 @@ def _flag_kernel_cases():
     # DT-like: k = 2 at m = 16, k = 1 at m = 32
     yield pytest.param("generic", dt_like(2, 16), id="dt-16")
     yield pytest.param("spread", dt_like(2, 32), id="dt-32")
-    # A^2 leaves float range at c = 1e±200 (k = 1); A^8 is subnormal at
-    # c = 1e-40 (k = 4)
+    # c * b runs at unit scale, in b's blocks of 16, at every c, where the
+    # square of c * b itself leaves float range at c = 1e±200 and its 8th
+    # power is subnormal at 1e-40
     b = np.array([[1, 1], [0, 0.5]], dtype=complex)
-    yield pytest.param("overflow", 1e200 * b, id="scaled-1e200")
-    yield pytest.param("underflow", 1e-200 * b, id="scaled-1e-200")
+    yield pytest.param("generic", 1e200 * b, id="scaled-1e200")
+    yield pytest.param("generic", 1e-200 * b, id="scaled-1e-200")
     yield pytest.param("generic", 1e-40 * b, id="scaled-1e-40")
+    # at unit scale A^2 = 2^-1032 I is subnormal and A^4 = 0: the singular
+    # floor refuses every block, which the spread floor alone would take
+    yield pytest.param("subnormal", np.array([[0, 2.0**-1030], [1, 0]], dtype=complex), id="subnormal-square")
 
 
 # (65, 1000, 4096), iterate's default schedule and the custom one of the
@@ -223,15 +237,17 @@ def _shared_reference(case, a, k):
 
 @pytest.mark.parametrize("kind, a, ns, case", list(_flag_kernel_runs()))
 def test_flag_run_matches_numpy_qr_reference(kind, a, ns, case):
-    k = powerit._block_power(a)[0]
+    # the run steps on the unit u = 2^-e a and scales its levels back by 2^e
+    u, e = _unit(a)
+    k = powerit._block_power(u)[0]
     assert (k > 1) == (kind == "generic")
-    ref = _shared_reference(case, a, k)
+    ref = _shared_reference(case, u, k)
     combined = powerit._flag_run(a, ns)
     for n, (q, levels) in zip(ns, combined):
         (q1, levels1), = powerit._flag_run(a, (n,))
         for got_q, got_levels in ((q, levels), (q1, levels1)):
             assert got_q.tobytes() == ref[n][0].tobytes(), n
-            assert got_levels.tobytes() == ref[n][1].tobytes(), n
+            assert got_levels.tobytes() == np.ldexp(ref[n][1], e).tobytes(), n
     levels = combined[-1][1]
     if kind == "singular":
         assert levels.min() == 0.0 < levels.max()
@@ -255,12 +271,21 @@ def test_schedule_flag_run_stops_only_where_q_is_read(monkeypatch):
     # of blocks to each n, none to its window start 3n / 4 (a whole block)
     a = generate_instance(5, InstanceSpec(dim=5)).matrix
     k = limit_operator(modulus_resolution(dunford(a))).matrix
-    assert powerit._block_power(a.conj().T)[0] == 32
+    assert powerit._block_power(_unit(a.conj().T)[0])[0] == 32
     steps, calls = powerit._flag_steps, []
     monkeypatch.setattr(powerit, "_flag_steps", lambda *args: calls.append(len(args[2])) or steps(*args))
     clear_memos()
     powerit.convergence_study(a, SCHEDULE, k)
     assert calls == [4, 4, 8, 16, 32, 64]  # blocks per stretch
+
+
+def test_singular_floor_refuses_a_subnormal_block(monkeypatch):
+    # at unit scale [[0, 1], [2^-1030, 0]]* squares to the subnormal
+    # 2^-1032 I and its A^4 is 0: the spread floor alone takes A^32 = 0
+    u = _unit(np.array([[0, 2.0**-1030], [1, 0]]))[0]
+    assert powerit._block_power(u)[0] == 1
+    monkeypatch.setattr(powerit, "_BLOCK_SINGULAR_FLOOR", 0.0)
+    assert powerit._block_power(u)[0] == 32
 
 
 def test_flag_steps_keep_f2py_default_lwork():
@@ -344,20 +369,45 @@ def test_refused_large_blocks_keep_the_factor_and_bytes_of_blocks_up_to_8():
     assert kept == {4, 8}
 
 
-@pytest.mark.parametrize("c, k", [(1e200, 1), (1e-200, 1), (1e-40, 4)])
-def test_flag_estimates_scale_with_the_matrix(c, k):
-    # A^2 of c * A leaves float range at c = 1e±200 and A^8 is subnormal at
-    # c = 1e-40, so those blocks are refused; A itself runs in blocks of 16
+@pytest.mark.parametrize("c", [1e200, 1e-200, 1e-160, 1e-40])
+def test_flag_estimates_scale_with_the_matrix(monkeypatch, c):
+    # the run steps on the unit of c * A, in A's blocks of 16, where A^2 of
+    # c * A itself leaves float range at c = 1e±200 and its A^8 is subnormal
+    # at c = 1e-40; no log of size |log c| is summed per step, and what is
+    # left is the rounding of c's mantissa in the unit
     a, n = np.array([[1, 1], [0, 0.5]], dtype=complex), 4096
-    assert powerit._block_power(a.conj().T)[0] == 16
-    assert powerit._block_power(c * a.conj().T)[0] == k
-    # a run sums its logs of size |log c| per step: each sum rounds at up to
-    # eps * n * |log c|, 4.2e-10 relative at c = 1e±200
-    rel = n * abs(np.log(c)) * np.finfo(float).eps
+    block_power, factors = powerit._block_power, []
+
+    def recorded(x):
+        k, ak = block_power(x)
+        factors.append(k)
+        return k, ak
+
+    monkeypatch.setattr(powerit, "_block_power", recorded)
+    clear_memos()
+    rel = 1e-11
     want = c * powerit.normalized_power(a, n)
     assert linalg.norm2(powerit.normalized_power(c * a, n) - want) <= rel * linalg.norm2(want)
     want = c * powerit.yamamoto_limits(a, n)
     assert powerit.yamamoto_limits(c * a, n) == pytest.approx(want, rel=rel)
+    assert factors == [16, 16]  # one flag run on A*, one on c A*
+
+
+def test_power_of_two_scaling_is_exact():
+    # every power of A is unit * 2^e with an int e, and a flag run steps on
+    # the unit, so each read-out of 2^j A is 2^j times that of A, bit for bit
+    for dim in range(2, 9):
+        a = generate_instance(20000 + dim, InstanceSpec(dim=dim)).matrix
+        for j in (600, -600):
+            c = 2.0**j
+            for n in (16, 64, 4096):
+                for read_out in (powerit.normalized_power, powerit.yamamoto_limits):
+                    assert read_out(c * a, n).tobytes() == (c * read_out(a, n)).tobytes(), (dim, j, n)
+                sp, sp_c = powerit.scaled_power(a, n), powerit.scaled_power(c * a, n)
+                assert sp_c.unit.tobytes() == sp.unit.tobytes()
+                assert sp_c.exponent == sp.exponent + j * n
+            want = c * powerit.vector_exponent_estimates(a, np.eye(dim), 4096)
+            assert powerit.vector_exponent_estimates(c * a, np.eye(dim), 4096).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("c", [1e200, 1e-200, 1e-160])
@@ -401,6 +451,18 @@ def test_power_read_outs_of_a_matrix_with_a_subnormal_norm(a):
     # subnormal norm: the chain once raised LinAlgError from the SVD of inf
     assert powerit.yamamoto_limits([[a]], 16)[0] == pytest.approx(a, rel=1e-12)
     assert abs(powerit.normalized_power([[a]], 16)[0, 0]) == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_a_root_past_the_float_maximum_is_refused(n):
+    # A is finite, but its root 2e308 is not: scaled back from the unit it
+    # would be inf, and the read-outs once gave 0 for it without a word
+    a = np.full((2, 2), 1e308)
+    for read_out in (powerit.normalized_power, powerit.yamamoto_limits):
+        with pytest.raises(InvalidInput, match="leaves float range"):
+            read_out(a, n)
+    with pytest.raises(InvalidInput, match="leaves float range"):
+        powerit.vector_exponent_estimates(a, np.eye(2), 4096)
 
 
 def test_normalized_power_nilpotent_is_zero():
